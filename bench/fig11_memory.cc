@@ -65,12 +65,12 @@ int main_impl() {
   double extra_kib = static_cast<double>(predictor.ParameterBytes() +
                                          predictor.ActivationBytes(192)) /
                      1024.0;
-  double saved = r_without.times.Get("evaluation") -
-                 r_with.times.Get("evaluation");
+  const double eval_with = TimeBreakdown(r_with.spans)["evaluation"];
+  const double eval_without = TimeBreakdown(r_without.spans)["evaluation"];
+  double saved = eval_without - eval_with;
   std::printf("  predictor memory: %.1f KiB\n", extra_kib);
   std::printf("  evaluation time saved: %.2f s (%.2f -> %.2f)\n", saved,
-              r_without.times.Get("evaluation"),
-              r_with.times.Get("evaluation"));
+              eval_without, eval_with);
 
   bench::ShapeCheck(lstm_ratio < 0.6 * transformer_ratio,
                     "recurrent predictor memory grows much slower with "

@@ -34,7 +34,8 @@ int main_impl() {
       // optimization spent training the sequence models; optimization also
       // contains agent updates, identical across variants, so the
       // difference is attributable to the backbone.
-      double t = r.times.Get("estimation") + r.times.Get("optimization");
+      std::map<std::string, double> times = TimeBreakdown(r.spans);
+      double t = times["estimation"] + times["optimization"];
       std::printf("%-24s %10.3f %16.2f\n", variant_names[b], r.best_score, t);
       std::fflush(stdout);
       scores[b] += r.best_score / 2.0;

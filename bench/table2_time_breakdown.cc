@@ -30,9 +30,10 @@ Breakdown RunVariant(const Dataset& dataset, bool use_predictor,
   FastFtEngine engine(cfg);
   EngineResult r = engine.Run(dataset).ValueOrDie();
   Breakdown b;
-  b.optimization = r.times.Get("optimization") / episodes;
-  b.estimation = r.times.Get("estimation") / episodes;
-  b.evaluation = r.times.Get("evaluation") / episodes;
+  std::map<std::string, double> times = TimeBreakdown(r.spans);
+  b.optimization = times["optimization"] / episodes;
+  b.estimation = times["estimation"] / episodes;
+  b.evaluation = times["evaluation"] / episodes;
   b.overall = b.optimization + b.estimation + b.evaluation;
   return b;
 }

@@ -7,6 +7,7 @@
 // expressions of the generated features.
 
 #include <cstdio>
+#include <map>
 #include <string>
 
 #include "core/engine.h"
@@ -58,9 +59,9 @@ int main(int argc, char** argv) {
               static_cast<long long>(result.downstream_evaluations));
   std::printf("predictor estimations  : %lld\n",
               static_cast<long long>(result.predictor_estimations));
+  std::map<std::string, double> times = fastft::TimeBreakdown(result.spans);
   std::printf("time: evaluation=%.2fs estimation=%.2fs optimization=%.2fs\n",
-              result.times.Get("evaluation"), result.times.Get("estimation"),
-              result.times.Get("optimization"));
+              times["evaluation"], times["estimation"], times["optimization"]);
 
   std::printf("\nbest transformed feature set (%d columns):\n",
               result.best_dataset.NumFeatures());

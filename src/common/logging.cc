@@ -34,11 +34,11 @@ const char* LevelName(LogLevel level) {
 /// Milliseconds since the first logging call (≈ process start: the origin
 /// is a function-local static, captured once, thread-safe). Log timestamps
 /// never feed computation, so the clock reads are exempt from the
-/// determinism lint.
+/// analyzer's nondeterminism rule.
 double MonotonicMs() {
   using Clock = std::chrono::steady_clock;
-  static const Clock::time_point origin = Clock::now();  // fastft-lint: allow(nondeterminism)
-  return std::chrono::duration<double, std::milli>(Clock::now() - origin)  // fastft-lint: allow(nondeterminism)
+  static const Clock::time_point origin = Clock::now();  // fastft-analyze: allow(nondeterminism): log timestamp origin
+  return std::chrono::duration<double, std::milli>(Clock::now() - origin)  // fastft-analyze: allow(nondeterminism): log timestamp
       .count();
 }
 

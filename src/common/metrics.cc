@@ -116,6 +116,14 @@ int64_t MetricsSnapshot::CounterValue(const std::string& name) const {
              : 0;
 }
 
+MetricsSnapshot MetricsSnapshot::WorkOnly() const {
+  MetricsSnapshot work;
+  for (const MetricValue& value : values) {
+    if (value.metric_class == MetricClass::kWork) work.values.push_back(value);
+  }
+  return work;
+}
+
 std::string MetricsSnapshot::ToJson() const {
   std::ostringstream out;
   out << "{\"counters\": {";
@@ -187,8 +195,10 @@ MetricsRegistry& MetricsRegistry::Global() {
   return *registry;
 }
 
-Counter* MetricsRegistry::GetCounter(const std::string& name) {
+Counter* MetricsRegistry::GetCounter(const std::string& name,
+                                     MetricClass metric_class) {
   common::MutexLock lock(&mu_);
+  if (metric_class == MetricClass::kRuntime) runtime_names_.insert(name);
   std::unique_ptr<Counter>& slot = counters_[name];
   if (slot == nullptr) slot = std::make_unique<Counter>();
   return slot.get();
@@ -202,8 +212,10 @@ Gauge* MetricsRegistry::GetGauge(const std::string& name) {
 }
 
 Histogram* MetricsRegistry::GetHistogram(
-    const std::string& name, const std::vector<double>& upper_bounds) {
+    const std::string& name, const std::vector<double>& upper_bounds,
+    MetricClass metric_class) {
   common::MutexLock lock(&mu_);
+  if (metric_class == MetricClass::kRuntime) runtime_names_.insert(name);
   std::unique_ptr<Histogram>& slot = histograms_[name];
   if (slot == nullptr) slot = std::make_unique<Histogram>(upper_bounds);
   return slot.get();
@@ -212,24 +224,26 @@ Histogram* MetricsRegistry::GetHistogram(
 MetricsSnapshot MetricsRegistry::Snapshot() const {
   MetricsSnapshot snapshot;
   common::MutexLock lock(&mu_);
-  for (const auto& [name, counter] : counters_) {
+  auto make_value = [&](const std::string& name, MetricKind kind) {
     MetricValue value;
     value.name = name;
-    value.kind = MetricKind::kCounter;
+    value.kind = kind;
+    value.metric_class = runtime_names_.count(name) > 0 ? MetricClass::kRuntime
+                                                        : MetricClass::kWork;
+    return value;
+  };
+  for (const auto& [name, counter] : counters_) {
+    MetricValue value = make_value(name, MetricKind::kCounter);
     value.counter = counter->Value();
     snapshot.values.push_back(std::move(value));
   }
   for (const auto& [name, gauge] : gauges_) {
-    MetricValue value;
-    value.name = name;
-    value.kind = MetricKind::kGauge;
+    MetricValue value = make_value(name, MetricKind::kGauge);
     value.gauge = gauge->Value();
     snapshot.values.push_back(std::move(value));
   }
   for (const auto& [name, histogram] : histograms_) {
-    MetricValue value;
-    value.name = name;
-    value.kind = MetricKind::kHistogram;
+    MetricValue value = make_value(name, MetricKind::kHistogram);
     value.histogram = histogram->Snapshot();
     snapshot.values.push_back(std::move(value));
   }

@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -84,9 +85,15 @@ const std::vector<double>& LatencyBucketsUs();
 
 enum class MetricKind { kCounter, kGauge, kHistogram };
 
+/// Work metrics count work done and repeat exactly at any thread count or
+/// SIMD setting (e.g. "evaluator.folds"); runtime metrics depend on
+/// scheduling or the clock (e.g. "pool.tasks", latency histograms).
+enum class MetricClass { kWork, kRuntime };
+
 struct MetricValue {
   std::string name;
   MetricKind kind = MetricKind::kCounter;
+  MetricClass metric_class = MetricClass::kWork;
   int64_t counter = 0;
   double gauge = 0.0;
   Histogram::Data histogram;
@@ -101,6 +108,8 @@ struct MetricsSnapshot {
   const MetricValue* Find(const std::string& name) const;
   /// Convenience: counter value of `name` (0 when absent).
   int64_t CounterValue(const std::string& name) const;
+  /// Copy holding only the MetricClass::kWork values.
+  MetricsSnapshot WorkOnly() const;
   /// One JSON object: {"counters": {...}, "gauges": {...},
   /// "histograms": {...}}. Self-contained, no external dependency.
   std::string ToJson() const;
@@ -123,12 +132,15 @@ class MetricsRegistry {
   static MetricsRegistry& Global();
 
   /// Finds or creates; the returned pointer is stable for the registry's
-  /// lifetime (the Global() registry is never destroyed).
-  Counter* GetCounter(const std::string& name);
+  /// lifetime (the Global() registry is never destroyed). Passing
+  /// MetricClass::kRuntime marks `name` as runtime for good.
+  Counter* GetCounter(const std::string& name,
+                      MetricClass metric_class = MetricClass::kWork);
   Gauge* GetGauge(const std::string& name);
   /// `upper_bounds` only applies on first registration of `name`.
   Histogram* GetHistogram(const std::string& name,
-                          const std::vector<double>& upper_bounds);
+                          const std::vector<double>& upper_bounds,
+                          MetricClass metric_class = MetricClass::kWork);
 
   MetricsSnapshot Snapshot() const;
 
@@ -139,6 +151,7 @@ class MetricsRegistry {
   std::map<std::string, std::unique_ptr<Gauge>> gauges_ FASTFT_GUARDED_BY(mu_);
   std::map<std::string, std::unique_ptr<Histogram>> histograms_
       FASTFT_GUARDED_BY(mu_);
+  std::set<std::string> runtime_names_ FASTFT_GUARDED_BY(mu_);
 };
 
 }  // namespace obs

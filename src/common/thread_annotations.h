@@ -4,13 +4,13 @@
 // DESIGN.md "Concurrency model") rests on a handful of locking disciplines
 // scattered across the concurrent subsystems: the pool's queue/exception
 // state, the trace rings and registry, the metrics registry, the
-// encode-cache LRU, TimeBuckets, the fault injector, and the log sink.
+// encode-cache LRU, the fault injector, and the log sink.
 // TSan checks those disciplines dynamically — but only on the interleavings
 // the test inputs happen to produce. These annotations let Clang's
 // -Wthread-safety analysis prove lock discipline at compile time for every
 // path, including the ones no test exercises.
 //
-// Usage rules (enforced by tools/fastft_lint.py rule `raw-mutex`):
+// Usage rules (enforced by tools/fastft_analyze.py rule `raw-mutex`):
 //   * Protected state is declared `Mutex mu_;` + `T member FASTFT_GUARDED_BY(mu_);`
 //     — never a raw std::mutex.
 //   * Critical sections use `MutexLock lock(&mu_);` (RAII), or explicit

@@ -18,7 +18,8 @@ thread_local bool tls_in_worker = false;
 
 // Queue-wait (enqueue -> dequeue) vs. run time of pool tasks: the scheduling
 // signal a flat per-bucket timer cannot show. Counting only; never alters
-// what a task computes.
+// what a task computes. All three are runtime metrics (they vary with the
+// thread count), so the run report leaves them out.
 struct PoolMetrics {
   obs::Counter* tasks;
   obs::Histogram* queue_wait_us;
@@ -29,9 +30,11 @@ const PoolMetrics& Metrics() {
   static const PoolMetrics metrics = [] {
     obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
     return PoolMetrics{
-        registry.GetCounter("pool.tasks"),
-        registry.GetHistogram("pool.queue_wait_us", obs::LatencyBucketsUs()),
-        registry.GetHistogram("pool.task_run_us", obs::LatencyBucketsUs()),
+        registry.GetCounter("pool.tasks", obs::MetricClass::kRuntime),
+        registry.GetHistogram("pool.queue_wait_us", obs::LatencyBucketsUs(),
+                              obs::MetricClass::kRuntime),
+        registry.GetHistogram("pool.task_run_us", obs::LatencyBucketsUs(),
+                              obs::MetricClass::kRuntime),
     };
   }();
   return metrics;

@@ -56,6 +56,8 @@ struct ThreadBuffer {
 struct Recorder {
   std::vector<std::unique_ptr<ThreadBuffer>> buffers
       FASTFT_GUARDED_BY(RegistryMutex());
+  // Every SpanSite constructed so far (function-local statics, never freed).
+  std::vector<const SpanSite*> sites FASTFT_GUARDED_BY(RegistryMutex());
 
   std::atomic<bool> enabled{false};
   std::atomic<uint64_t> origin_ns{0};
@@ -151,6 +153,38 @@ int RegisterThisThread(const std::string& name) {
 }
 
 int CurrentThreadId() { return ThisThreadBuffer()->tid; }
+
+SpanSite::SpanSite(const char* name) : name_(name) {
+  MutexLock lock(&RegistryMutex());
+  GlobalRecorder().sites.push_back(this);
+}
+
+SpanTotals ReadSpanTotals() {
+  Recorder& rec = GlobalRecorder();
+  SpanTotals totals;
+  MutexLock lock(&RegistryMutex());
+  for (const SpanSite* site : rec.sites) {
+    const SpanTotal read = site->Read();
+    SpanTotal& merged = totals[site->name()];
+    merged.count += read.count;
+    merged.total_ns += read.total_ns;
+  }
+  return totals;
+}
+
+SpanTotals SpanTotalsDelta(const SpanTotals& start, const SpanTotals& end) {
+  SpanTotals delta;
+  for (const auto& [name, total] : end) {
+    SpanTotal d = total;
+    auto base = start.find(name);
+    if (base != start.end()) {
+      d.count -= base->second.count;
+      d.total_ns -= base->second.total_ns;
+    }
+    if (d.count > 0) delta[name] = d;
+  }
+  return delta;
+}
 
 TraceSnapshot SnapshotTrace() {
   Recorder& rec = GlobalRecorder();
@@ -271,7 +305,7 @@ namespace internal {
 uint64_t NowNs() {
   return static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
+          std::chrono::steady_clock::now().time_since_epoch())  // fastft-analyze: allow(nondeterminism): the span clock
           .count());
 }
 

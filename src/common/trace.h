@@ -9,10 +9,14 @@
 // plus an aggregated per-span summary.
 //
 // Design (see DESIGN.md "Observability"):
-//   * Always compiled, cheap when disabled: FASTFT_TRACE_SPAN costs one
-//     relaxed atomic load when tracing is off. No computation is ever
-//     reordered or skipped because of tracing — engine outputs are
-//     bit-identical with tracing on or off, at any thread count.
+//   * Always compiled, always aggregating: every FASTFT_TRACE_SPAN call site
+//     owns a static SpanSite that adds each span's count and duration with
+//     relaxed atomics, tracing or not (two clock reads and two adds per
+//     span). ReadSpanTotals merges sites by name; the engine derives the
+//     Table II time buckets from a per-run delta of those totals. No
+//     computation is ever reordered or skipped because of tracing — engine
+//     outputs are bit-identical with tracing on or off, at any thread
+//     count.
 //   * One fixed-capacity ring buffer per thread, drop-oldest beyond the cap
 //     with a dropped-span counter. Each ring is single-writer (its owner
 //     thread); a per-ring mutex — uncontended in steady state — makes the
@@ -29,6 +33,7 @@
 
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -123,6 +128,47 @@ std::string ChromeTraceJson(const TraceSnapshot& snapshot);
 /// SnapshotTrace + ChromeTraceJson written to `path`.
 Status WriteChromeTrace(const std::string& path);
 
+/// Count and summed duration of one span name.
+struct SpanTotal {
+  int64_t count = 0;
+  uint64_t total_ns = 0;
+};
+
+/// Span totals keyed by span name.
+using SpanTotals = std::map<std::string, SpanTotal>;
+
+/// Totals of every FASTFT_TRACE_SPAN call site since process start, with
+/// call sites that share a name merged. Always on; independent of tracing.
+SpanTotals ReadSpanTotals();
+
+/// end - start per name; names with no spans in between are dropped.
+SpanTotals SpanTotalsDelta(const SpanTotals& start, const SpanTotals& end);
+
+/// The always-on aggregation slot of one FASTFT_TRACE_SPAN call site. Lives
+/// in a function-local static for the process lifetime and registers itself
+/// on construction.
+class SpanSite {
+ public:
+  explicit SpanSite(const char* name);
+  SpanSite(const SpanSite&) = delete;
+  SpanSite& operator=(const SpanSite&) = delete;
+
+  const char* name() const { return name_; }
+  void Add(uint64_t duration_ns) {
+    count_.fetch_add(1, std::memory_order_relaxed);
+    total_ns_.fetch_add(duration_ns, std::memory_order_relaxed);
+  }
+  SpanTotal Read() const {
+    return {count_.load(std::memory_order_relaxed),
+            total_ns_.load(std::memory_order_relaxed)};
+  }
+
+ private:
+  const char* name_;
+  std::atomic<int64_t> count_{0};
+  std::atomic<uint64_t> total_ns_{0};
+};
+
 namespace internal {
 
 /// Monotonic clock read (absolute; the recorder rebases onto the
@@ -135,28 +181,36 @@ void RecordSpan(const char* name, uint64_t start_ns, uint64_t end_ns);
 
 }  // namespace internal
 
-/// RAII span: records [construction, destruction) of the enclosing scope
-/// under `name`, which must outlive the trace session (string literals do).
+/// RAII span over [construction, destruction) of the enclosing scope. A span
+/// built on a SpanSite (what FASTFT_TRACE_SPAN does) always adds to the
+/// site's totals; a span built on a bare name only records into the ring.
+/// Either way it records into the ring only if tracing was active at entry.
+/// `name` must outlive the trace session (string literals do).
 class TraceSpan {
  public:
-  explicit TraceSpan(const char* name) {
-    if (TracingActive()) {
-      name_ = name;
-      start_ns_ = internal::NowNs();
-    }
-  }
+  explicit TraceSpan(SpanSite& site) : TraceSpan(site.name(), &site) {}
+  explicit TraceSpan(const char* name) : TraceSpan(name, nullptr) {}
   ~TraceSpan() {
-    if (name_ != nullptr) {
-      internal::RecordSpan(name_, start_ns_, internal::NowNs());
-    }
+    if (site_ == nullptr && !traced_) return;
+    const uint64_t end_ns = internal::NowNs();
+    if (site_ != nullptr) site_->Add(end_ns - start_ns_);
+    if (traced_) internal::RecordSpan(name_, start_ns_, end_ns);
   }
 
   TraceSpan(const TraceSpan&) = delete;
   TraceSpan& operator=(const TraceSpan&) = delete;
 
  private:
-  const char* name_ = nullptr;  // nullptr = tracing was off at entry
-  uint64_t start_ns_ = 0;
+  TraceSpan(const char* name, SpanSite* site)
+      : name_(name),
+        site_(site),
+        traced_(TracingActive()),
+        start_ns_(site != nullptr || traced_ ? internal::NowNs() : 0) {}
+
+  const char* name_;
+  SpanSite* site_;  // nullptr = ring only
+  bool traced_;     // tracing was active at entry
+  uint64_t start_ns_;
 };
 
 }  // namespace obs
@@ -167,7 +221,11 @@ class TraceSpan {
 
 /// Times the enclosing scope as one span, e.g.
 ///   FASTFT_TRACE_SPAN("engine/step");
-#define FASTFT_TRACE_SPAN(name)                                       \
-  ::fastft::obs::TraceSpan FASTFT_TRACE_CONCAT(fastft_trace_span_,    \
-                                               __COUNTER__)(name)
+/// Expands to two declarations: the call site's static SpanSite and the span.
+#define FASTFT_TRACE_SPAN(name) FASTFT_TRACE_SPAN_ID(__COUNTER__, name)
+#define FASTFT_TRACE_SPAN_ID(id, name)                                    \
+  static ::fastft::obs::SpanSite FASTFT_TRACE_CONCAT(fastft_span_site_,   \
+                                                     id)(name);           \
+  ::fastft::obs::TraceSpan FASTFT_TRACE_CONCAT(fastft_trace_span_, id)(   \
+      FASTFT_TRACE_CONCAT(fastft_span_site_, id))
 

@@ -23,11 +23,6 @@
 namespace fastft {
 namespace {
 
-constexpr char kOpt[] = "optimization";
-constexpr char kEst[] = "estimation";
-constexpr char kEval[] = "evaluation";
-constexpr char kCkpt[] = "checkpoint";
-
 struct EngineMetrics {
   obs::Counter* steps;
   obs::Counter* episodes;
@@ -300,8 +295,9 @@ Result<EngineResult> FastFtEngine::Run(const Dataset& dataset) {
   RecordSession record_session(config_.record_path,
                                config_.record_ring_capacity);
   FASTFT_TRACE_SPAN("engine/run");
-  // Metrics delta: counting is always on; the snapshot pair brackets this
-  // run so EngineResult::metrics reports only what the run itself did.
+  // Metrics and span-total deltas: counting is always on; each snapshot pair
+  // brackets this run so EngineResult reports only what the run itself did.
+  const obs::SpanTotals spans_start = obs::ReadSpanTotals();
   obs::MetricsSnapshot metrics_start;
   if (config_.metrics) {
     metrics_start = obs::MetricsRegistry::Global().Snapshot();
@@ -355,8 +351,11 @@ Result<EngineResult> FastFtEngine::Run(const Dataset& dataset) {
 
   const size_t cache_bytes =
       static_cast<size_t>(config_.prefix_cache_kb) * 1024;
-  // Estimation-side parallelism (distillation targets, embedding sweep);
-  // downstream evaluation resolves the same knob inside the evaluator.
+  // Estimation-side parallelism (the Fig. 14 embedding sweep); downstream
+  // evaluation resolves the same knob inside the evaluator. The novelty
+  // target passes in Fit/Finetune stay serial: they resume from the shared
+  // prefix cache (a few ms per run), and on the pool their hits would depend
+  // on scheduling, which the run report's cache counters must not.
   const int est_threads = common::ResolveThreadCount(config_.num_threads);
 
   PredictorConfig pp_config;
@@ -462,7 +461,6 @@ Result<EngineResult> FastFtEngine::Run(const Dataset& dataset) {
     // component failure the run cannot absorb — it surfaces as a Status
     // (unless the budget expired mid-baseline, which is an interruption,
     // not an error). A resumed run restored its baseline from the snapshot.
-    ScopedTimer timer(&result.times, kEval);
     FASTFT_TRACE_SPAN("engine/evaluate");
     double base = evaluator.Evaluate(dataset);
     ++result.downstream_evaluations;
@@ -526,7 +524,6 @@ Result<EngineResult> FastFtEngine::Run(const Dataset& dataset) {
   bool snapshot_dirty = false;
   auto write_checkpoint = [&]() {
     if (last_snapshot.empty()) return;
-    ScopedTimer timer(&result.times, kCkpt);
     FASTFT_TRACE_SPAN("engine/checkpoint_write");
     // Kill sites for the chaos harness (tools/check_crash.sh): dying right
     // before or right after the atomic write must both leave a resumable
@@ -577,7 +574,6 @@ Result<EngineResult> FastFtEngine::Run(const Dataset& dataset) {
       Transition t;
       int added = 0;
       {
-        ScopedTimer timer(&result.times, kOpt);
         FASTFT_TRACE_SPAN("engine/select_action");
         std::vector<std::vector<int>> clusters =
             ClusterFeatures(space, config_.clustering);
@@ -646,7 +642,6 @@ Result<EngineResult> FastFtEngine::Run(const Dataset& dataset) {
       double novelty_score = 0.0;
       bool have_prediction = false;
       if (components_ready) {
-        ScopedTimer timer(&result.times, kEst);
         FASTFT_TRACE_SPAN("engine/estimate");
         if (config_.use_performance_predictor &&
             !health.predictor.quarantined()) {
@@ -726,7 +721,6 @@ Result<EngineResult> FastFtEngine::Run(const Dataset& dataset) {
         run_downstream = false;
         v = prev_perf;
       } else if (run_downstream) {
-        ScopedTimer timer(&result.times, kEval);
         FASTFT_TRACE_SPAN("engine/evaluate");
         Dataset candidate = space.ToDataset();
         double measured = evaluate_candidates({&candidate})[0];
@@ -785,7 +779,6 @@ Result<EngineResult> FastFtEngine::Run(const Dataset& dataset) {
 
       // --- Memory + optimization (Algorithm 2 lines 15-18). ---
       {
-        ScopedTimer timer(&result.times, kOpt);
         FASTFT_TRACE_SPAN("engine/optimize");
         double priority = policy->TdError(t);
         buffer.Add(std::move(t), priority);
@@ -812,7 +805,7 @@ Result<EngineResult> FastFtEngine::Run(const Dataset& dataset) {
       trace.generated = generated_new;
       trace.novelty = novelty_score;
       if (config_.collect_novelty_metrics) {
-        ScopedTimer timer(&result.times, kEst);
+        FASTFT_TRACE_SPAN("engine/novelty_metrics");
         std::vector<double> embedding = novelty->TargetEmbedding(step_tokens);
         // Fig. 14 sweep: distances to the history fan out over the pool;
         // the min-reduction runs here in input order, so the metric is
@@ -872,7 +865,6 @@ Result<EngineResult> FastFtEngine::Run(const Dataset& dataset) {
 
     // --- Component training / finetuning (Algorithms 1 & 2). ---
     if (episode == config_.cold_start_episodes - 1) {
-      ScopedTimer timer(&result.times, kOpt);
       FASTFT_TRACE_SPAN("engine/coldstart_train");
       Rng train_rng(DeriveSeed(config_.seed, 31));
       if (config_.use_performance_predictor) {
@@ -894,7 +886,7 @@ Result<EngineResult> FastFtEngine::Run(const Dataset& dataset) {
           sequences.push_back(r.tokens);
         }
         double loss = novelty->Fit(sequences, config_.cold_start_train_epochs,
-                                   &train_rng, est_threads);
+                                   &train_rng);
         if (FASTFT_FAULT_POINT("novelty/coldstart")) loss = kNaN;
         if (!std::isfinite(loss)) {
           health.RecordComponentFault(&health.novelty);
@@ -910,7 +902,6 @@ Result<EngineResult> FastFtEngine::Run(const Dataset& dataset) {
                        std::max(config_.finetune_every_episodes, 1) ==
                    0 &&
                buffer.size() > 0) {
-      ScopedTimer timer(&result.times, kOpt);
       FASTFT_TRACE_SPAN("engine/finetune");
       std::vector<int> indices =
           buffer.UniformSampleIndices(config_.finetune_batch, &rng);
@@ -960,7 +951,7 @@ Result<EngineResult> FastFtEngine::Run(const Dataset& dataset) {
       }
       if (config_.use_novelty) {
         finetune_component(&health.novelty, "novelty/finetune", [&] {
-          return novelty->Finetune(sequences, est_threads);
+          return novelty->Finetune(sequences);
         });
       }
     }
@@ -996,7 +987,6 @@ Result<EngineResult> FastFtEngine::Run(const Dataset& dataset) {
     rs.next_episode = episode + 1;
     if (!config_.checkpoint_path.empty()) {
       {
-        ScopedTimer timer(&result.times, kCkpt);
         FASTFT_TRACE_SPAN("engine/checkpoint_serialize");
         last_snapshot = SerializeEngineState(config_, checkpoint_context(),
                                              last_snapshot.size());
@@ -1022,7 +1012,30 @@ Result<EngineResult> FastFtEngine::Run(const Dataset& dataset) {
     result.metrics = obs::DeltaSnapshot(
         metrics_start, obs::MetricsRegistry::Global().Snapshot());
   }
+  result.spans = obs::SpanTotalsDelta(spans_start, obs::ReadSpanTotals());
   return result;
+}
+
+std::map<std::string, double> TimeBreakdown(const obs::SpanTotals& spans) {
+  static const std::map<std::string, std::string> kBucketOf = {
+      {"engine/evaluate", "evaluation"},
+      {"engine/select_action", "optimization"},
+      {"engine/optimize", "optimization"},
+      {"engine/coldstart_train", "optimization"},
+      {"engine/finetune", "optimization"},
+      {"engine/estimate", "estimation"},
+      {"engine/novelty_metrics", "estimation"},
+      {"engine/checkpoint_serialize", "checkpoint"},
+      {"engine/checkpoint_write", "checkpoint"},
+  };
+  std::map<std::string, double> seconds;
+  for (const auto& [name, bucket] : kBucketOf) {
+    auto span = spans.find(name);
+    if (span != spans.end()) {
+      seconds[bucket] += static_cast<double>(span->second.total_ns) * 1e-9;
+    }
+  }
+  return seconds;
 }
 
 }  // namespace fastft

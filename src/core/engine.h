@@ -24,13 +24,14 @@
 
 #include <atomic>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "common/metrics.h"
 #include "common/status.h"
-#include "common/timer.h"
+#include "common/trace.h"
 #include "core/agents.h"
 #include "core/clustering.h"
 #include "core/feature_space.h"
@@ -192,8 +193,10 @@ struct EngineResult {
   std::vector<StepTrace> trace;
   /// Best-so-far score after each episode (Fig. 7 convergence curves).
   std::vector<double> episode_best;
-  /// Wall-clock buckets: "optimization", "estimation", "evaluation".
-  TimeBuckets times;
+  /// Delta of the always-on span totals over this run; TimeBreakdown maps
+  /// it to the Table II buckets. Like `metrics` it is process-wide: engines
+  /// running concurrently in one process see each other's spans.
+  obs::SpanTotals spans;
   int64_t downstream_evaluations = 0;
   int64_t predictor_estimations = 0;
   /// Combined prefix-state cache counters of the estimation networks
@@ -220,6 +223,17 @@ struct EngineResult {
   int64_t recorded_events = 0;
   int64_t recorded_dropped = 0;
 };
+
+/// The paper's Table II time split, in seconds, summed from span totals:
+///   "evaluation"    engine/evaluate
+///   "optimization"  engine/select_action, engine/optimize,
+///                   engine/coldstart_train, engine/finetune
+///   "estimation"    engine/estimate, engine/novelty_metrics
+///   "checkpoint"    engine/checkpoint_serialize, engine/checkpoint_write
+/// A bucket is present only when one of its spans ran. Every span is opened
+/// on the thread driving the run, so parallel fan-out shrinks a bucket
+/// rather than summing per-worker time.
+std::map<std::string, double> TimeBreakdown(const obs::SpanTotals& spans);
 
 /// Rejects configurations the engine cannot run (non-positive schedules,
 /// out-of-range percentiles, ...) with an actionable message.

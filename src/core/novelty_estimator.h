@@ -67,7 +67,9 @@ class NoveltyEstimator {
   /// Distills the estimator toward the frozen target on visited sequences.
   /// Returns the final mean distillation loss. The frozen target's outputs
   /// are precomputed once with up to `num_threads` executors (the target
-  /// never changes, so per-epoch recomputation is redundant).
+  /// never changes, so per-epoch recomputation is redundant). Scores do not
+  /// depend on `num_threads`; with more than one, the target's prefix-cache
+  /// counters do (concurrent lookups race concurrent inserts).
   double Fit(const std::vector<std::vector<int>>& sequences, int epochs,
              Rng* rng, int num_threads = 1);
 

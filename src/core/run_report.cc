@@ -90,13 +90,14 @@ std::string RunReportJson(const Dataset& original,
   out << "  \"health\": " << result.health.ToJson() << ",\n";
 
   // Additive: runs with EngineConfig::metrics off keep the legacy shape.
+  // Only work metrics: runtime ones (pool.*) vary with the thread count.
   if (!result.metrics.empty()) {
-    out << "  \"metrics\": " << result.metrics.ToJson() << ",\n";
+    out << "  \"metrics\": " << result.metrics.WorkOnly().ToJson() << ",\n";
   }
 
   out << "  \"times\": {";
   bool first = true;
-  for (const auto& [bucket, seconds] : result.times.buckets()) {
+  for (const auto& [bucket, seconds] : TimeBreakdown(result.spans)) {
     if (!first) out << ", ";
     first = false;
     out << "\"" << JsonEscape(bucket) << "\": ";

@@ -18,7 +18,7 @@ double SuppressedAll(const std::vector<double>& v,
   auto grabbed = GrabFixture();
   int x = grabbed.value();  // fastft-analyze: allow(unchecked-value): fixture demonstrates suppression
   double total = std::accumulate(v.begin(), v.end(), 0.0);  // fastft-analyze: allow(fp-reduction): fixture demonstrates suppression
-  for (const auto& kv : weight_map) {
+  for (const auto& kv : weight_map) {  // fastft-analyze: allow(unordered-iteration): fixture demonstrates suppression
     total += kv.second;  // fastft-analyze: allow(fp-unordered-accumulate): fixture demonstrates suppression
   }
   return total + x;

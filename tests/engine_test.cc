@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <map>
+#include <string>
+#include <vector>
 
 #include "core/engine.h"
 #include "data/dataset_zoo.h"
@@ -99,13 +103,64 @@ TEST(EngineTest, AblationFlagsRun) {
   }
 }
 
-TEST(EngineTest, TimeBucketsCoverRun) {
-  FastFtEngine engine(FastConfig());
-  EngineResult r = engine.Run(SmallDataset()).ValueOrDie();
-  EXPECT_GT(r.times.Get("evaluation"), 0.0);
-  EXPECT_GT(r.times.Get("optimization"), 0.0);
-  // Estimation bucket only active once components are trained.
-  EXPECT_GE(r.times.Get("estimation"), 0.0);
+// Sum of the listed spans' totals in a run, in seconds.
+double SpanSeconds(const EngineResult& r,
+                   const std::vector<std::string>& names) {
+  uint64_t total_ns = 0;
+  for (const std::string& name : names) {
+    auto span = r.spans.find(name);
+    if (span != r.spans.end()) total_ns += span->second.total_ns;
+  }
+  return static_cast<double>(total_ns) * 1e-9;
+}
+
+// Each Table II bucket is the sum of its spans' totals, and "checkpoint"
+// appears only when the run checkpoints.
+TEST(EngineTest, TimeBreakdownCoversRun) {
+  const std::map<std::string, std::vector<std::string>> spans_of = {
+      {"evaluation", {"engine/evaluate"}},
+      {"optimization",
+       {"engine/select_action", "engine/optimize", "engine/coldstart_train",
+        "engine/finetune"}},
+      {"estimation", {"engine/estimate", "engine/novelty_metrics"}},
+      {"checkpoint",
+       {"engine/checkpoint_serialize", "engine/checkpoint_write"}},
+  };
+  EngineConfig cfg = FastConfig();
+  cfg.collect_novelty_metrics = true;
+  EngineResult plain = FastFtEngine(cfg).Run(SmallDataset()).ValueOrDie();
+  cfg.checkpoint_path = testing::TempDir() + "/time_buckets.ffcp";
+  EngineResult ckpt = FastFtEngine(cfg).Run(SmallDataset()).ValueOrDie();
+  std::remove(cfg.checkpoint_path.c_str());
+
+  for (const EngineResult* r : {&plain, &ckpt}) {
+    const bool checkpointed = r == &ckpt;
+    std::map<std::string, double> times = TimeBreakdown(r->spans);
+    EXPECT_EQ(times.size(), checkpointed ? 4u : 3u);
+    for (const auto& [bucket, names] : spans_of) {
+      if (bucket == "checkpoint" && !checkpointed) {
+        EXPECT_EQ(times.count(bucket), 0u);
+        continue;
+      }
+      EXPECT_GT(times[bucket], 0.0) << bucket;
+      EXPECT_NEAR(times[bucket], SpanSeconds(*r, names), 1e-9) << bucket;
+    }
+    // The baseline and the per-step evaluation are two call sites of
+    // engine/evaluate; their spans merge under the one name.
+    EXPECT_EQ(r->spans.at("engine/evaluate").count,
+              r->downstream_evaluations);
+  }
+}
+
+// Run() reports a delta: spans from an earlier run in the same process do
+// not leak into the next run's totals.
+TEST(EngineTest, SpanDeltaExcludesEarlierRuns) {
+  for (int run = 0; run < 2; ++run) {
+    EngineResult r =
+        FastFtEngine(FastConfig()).Run(SmallDataset()).ValueOrDie();
+    EXPECT_EQ(r.spans.at("engine/step").count, r.total_steps) << run;
+    EXPECT_EQ(r.spans.at("engine/episode").count, 5) << run;
+  }
 }
 
 TEST(EngineTest, NoveltyMetricsCollectedOnDemand) {

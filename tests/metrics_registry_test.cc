@@ -121,6 +121,26 @@ TEST(MetricsRegistryTest, DeltaSubtractsAndDropsZeroes) {
   EXPECT_EQ(lat->histogram.counts[1], 1);  // only the new overflow observe
 }
 
+TEST(MetricsRegistryTest, WorkOnlyDropsRuntimeMetrics) {
+  obs::MetricsRegistry registry;
+  registry.GetCounter("c.work")->Increment(2);
+  registry.GetCounter("c.sched", obs::MetricClass::kRuntime)->Increment(5);
+  registry.GetHistogram("h.lat", {1.0}, obs::MetricClass::kRuntime)
+      ->Observe(0.5);
+  // The class sticks to the name: a later plain lookup keeps it runtime.
+  registry.GetCounter("c.sched")->Increment();
+  obs::MetricsSnapshot start;
+  obs::MetricsSnapshot delta = obs::DeltaSnapshot(start, registry.Snapshot());
+  ASSERT_NE(delta.Find("c.sched"), nullptr);
+  EXPECT_EQ(delta.Find("c.sched")->metric_class, obs::MetricClass::kRuntime);
+
+  obs::MetricsSnapshot work = delta.WorkOnly();
+  ASSERT_EQ(work.values.size(), 1u);
+  EXPECT_EQ(work.CounterValue("c.work"), 2);
+  EXPECT_EQ(work.Find("c.sched"), nullptr);
+  EXPECT_EQ(work.Find("h.lat"), nullptr);
+}
+
 TEST(MetricsRegistryTest, MetricNewAfterStartPassesThroughDelta) {
   obs::MetricsRegistry registry;
   obs::MetricsSnapshot start = registry.Snapshot();

@@ -1,6 +1,7 @@
 // Tests of the fastft::obs tracing layer: ring semantics, aggregation,
-// Chrome-trace export, pool-worker attribution, and the engine integration
-// (trace_path wiring + determinism cross-checks).
+// Chrome-trace export, pool-worker attribution, the engine integration
+// (trace_path wiring + determinism cross-checks), and the always-on span
+// totals.
 
 #include "common/trace.h"
 
@@ -10,12 +11,15 @@
 #include <future>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "common/threadpool.h"
 #include "core/engine.h"
+#include "core/replay_buffer.h"
 #include "data/synthetic.h"
 
 namespace fastft {
@@ -259,6 +263,74 @@ TEST_F(TraceTest, InvalidRingCapacityRejected) {
   config.trace_path.clear();
   config.trace_ring_capacity = 0;
   EXPECT_TRUE(ValidateEngineConfig(config).ok());
+}
+
+// --- Always-on span totals ---------------------------------------------
+
+TEST(SpanTotalsTest, CountWithTracingOff) {
+  ASSERT_FALSE(obs::TracingActive());
+  const obs::SpanTotals start = obs::ReadSpanTotals();
+  for (int i = 0; i < 3; ++i) {
+    FASTFT_TRACE_SPAN("test/totals_off");
+  }
+  // A span on a bare name has no call-site slot: ring only, not aggregated.
+  { obs::TraceSpan bare("test/bare_name"); }
+  const obs::SpanTotals delta =
+      obs::SpanTotalsDelta(start, obs::ReadSpanTotals());
+  ASSERT_EQ(delta.count("test/totals_off"), 1u);
+  EXPECT_EQ(delta.at("test/totals_off").count, 3);
+  EXPECT_EQ(delta.count("test/bare_name"), 0u);
+  EXPECT_EQ(CountSpans(obs::SnapshotTrace(), "test/totals_off"), 0);
+}
+
+TEST(SpanTotalsTest, CallSitesWithOneNameMerge) {
+  const obs::SpanTotals start = obs::ReadSpanTotals();
+  { FASTFT_TRACE_SPAN("test/merged"); }
+  { FASTFT_TRACE_SPAN("test/merged"); }
+  // replay/sample has two call sites: SampleIndex and UniformSampleIndices.
+  PrioritizedReplayBuffer buffer(4);
+  buffer.Add(Transition{}, 1.0);
+  Rng rng(3);
+  EXPECT_EQ(buffer.SampleIndex(&rng), 0);
+  EXPECT_EQ(buffer.UniformSampleIndices(1, &rng).size(), 1u);
+  const obs::SpanTotals delta =
+      obs::SpanTotalsDelta(start, obs::ReadSpanTotals());
+  EXPECT_EQ(delta.at("test/merged").count, 2);
+  EXPECT_EQ(delta.at("replay/sample").count, 2);
+  EXPECT_EQ(delta.at("replay/add").count, 1);
+}
+
+TEST(SpanTotalsTest, ConcurrentSpansLoseNothing) {
+  constexpr int kThreads = 4;
+  constexpr int kSpansPerThread = 5000;
+  const obs::SpanTotals start = obs::ReadSpanTotals();
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([] {
+      for (int i = 0; i < kSpansPerThread; ++i) {
+        FASTFT_TRACE_SPAN("test/concurrent");
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  const obs::SpanTotals delta =
+      obs::SpanTotalsDelta(start, obs::ReadSpanTotals());
+  EXPECT_EQ(delta.at("test/concurrent").count, kThreads * kSpansPerThread);
+}
+
+TEST(SpanTotalsTest, DeltaDropsIdleNames) {
+  obs::SpanTotals start;
+  start["a"] = {2, 100};
+  start["b"] = {1, 50};
+  obs::SpanTotals end = start;
+  end["a"] = {5, 400};
+  end["c"] = {1, 7};
+  const obs::SpanTotals delta = obs::SpanTotalsDelta(start, end);
+  ASSERT_EQ(delta.size(), 2u);
+  EXPECT_EQ(delta.at("a").count, 3);
+  EXPECT_EQ(delta.at("a").total_ns, 300u);
+  EXPECT_EQ(delta.at("c").count, 1);
+  EXPECT_EQ(delta.count("b"), 0u);
 }
 
 }  // namespace

@@ -31,22 +31,9 @@ trap 'rm -rf "${WORK_DIR}"' EXIT
 DATASET="Pima Indian"
 RUN_ARGS=(benchmark --dataset "${DATASET}" --episodes 8 --steps 6 --seed 17)
 
-# Strips the fields that legitimately vary across processes (wall-clock
-# buckets, the per-process metrics delta, cache hit counters) and
+# Strips the fields that legitimately vary across processes and
 # canonicalizes the rest for byte comparison.
-normalize() {
-  python3 - "$1" "$2" <<'PY'
-import json
-import sys
-
-with open(sys.argv[1]) as f:
-    report = json.load(f)
-for volatile in ("times", "metrics", "estimation_cache"):
-    report.pop(volatile, None)
-with open(sys.argv[2], "w") as f:
-    json.dump(report, f, indent=1, sort_keys=True)
-PY
-}
+normalize() { python3 tools/normalize_report.py "$1" "$2"; }
 
 echo "=== check_crash: uninterrupted baseline (${FASTFT_BIN}) ==="
 "${FASTFT_BIN}" "${RUN_ARGS[@]}" --report "${WORK_DIR}/baseline.json" \

@@ -39,22 +39,9 @@ STEPS=4
 RUN_ARGS=(benchmark --dataset "${DATASET}" --episodes "${EPISODES}" \
           --steps "${STEPS}" --seed 11)
 
-# Strips the fields that legitimately vary across processes (wall-clock
-# buckets, metrics delta, cache counters); same normalization as
-# check_crash.sh.
-normalize() {
-  python3 - "$1" "$2" <<'PY'
-import json
-import sys
-
-with open(sys.argv[1]) as f:
-    report = json.load(f)
-for volatile in ("times", "metrics", "estimation_cache"):
-    report.pop(volatile, None)
-with open(sys.argv[2], "w") as f:
-    json.dump(report, f, indent=1, sort_keys=True)
-PY
-}
+# Strips the fields that legitimately vary across processes; same
+# normalization as check_crash.sh.
+normalize() { python3 tools/normalize_report.py "$1" "$2"; }
 
 echo "=== check_record: recorded run at 4 threads (${FASTFT_BIN}) ==="
 "${FASTFT_BIN}" "${RUN_ARGS[@]}" --threads 4 \

@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
-"""Semantic multi-pass static analyzer for the fastft tree.
+"""The fastft tree's static analyzer: its one C++ source scanner.
 
-Where tools/fastft_lint.py greps single lines, this analyzer lexes every
-translation unit once with a real tokenizer (comments, string literals, raw
-strings, and preprocessor lines are classified exactly once, not per-regex),
-builds a cross-file declaration index and the project #include graph from
-the token streams, and then runs three semantic passes:
+Lexes every translation unit once with a real tokenizer (comments, string
+literals, raw strings, and preprocessor lines are classified exactly once,
+so trigger text in prose or string data never fires a rule), builds a
+cross-file declaration index and the project #include graph from the token
+streams, and then runs four passes:
 
   error-discipline   Every function returning Status or Result<T> anywhere
                      in the tree is indexed by name. Call sites that discard
@@ -34,7 +34,7 @@ the token streams, and then runs three semantic passes:
                      the blessed kernel files (src/common/simd_kernels*):
                      std::accumulate / std::reduce / std::inner_product are
                      [fp-reduction]; compound accumulation (`+=` and
-                     friends) inside a range-for over an unordered container
+                     friends) inside a loop over an unordered container
                      is [fp-unordered-accumulate] (hash order would feed the
                      summation order). CMakeLists.txt files are scanned for
                      flag drift: -ffast-math / -funsafe-math-optimizations /
@@ -43,8 +43,25 @@ the token streams, and then runs three semantic passes:
                      [fp-flag-drift] (the SIMD bit-identity contract forbids
                      FMA contraction, DESIGN.md "SIMD kernels").
 
-Suppress a single line with a trailing comment naming the rule and, by
-convention, the reason:
+  conventions        [nondeterminism] std::rand / srand / random_device /
+                     time(nullptr) / argless clock-now reads: randomness
+                     comes from seeded fastft::Rng streams, time from
+                     WallTimer or spans (their clock reads carry per-line
+                     suppressions). [unordered-iteration] any loop over an
+                     unordered container in src/core/ and src/nn/ (the
+                     scoring paths), using the same loop detection as
+                     [fp-unordered-accumulate]. [raw-mutex] the std::mutex
+                     family outside src/common/thread_annotations.h, so
+                     -Wthread-safety sees every lock. [raw-intrinsics] SIMD
+                     intrinsics or their headers outside
+                     src/common/simd_kernels*. [check-user-input]
+                     FASTFT_CHECK* in the input-parsing layers
+                     (src/data/csv*, src/core/expression_parser*, tools/):
+                     malformed input returns a Status. [pragma-once] every
+                     header has #pragma once.
+
+Suppress a single line with a trailing comment naming the rule and the
+reason:
 
     (void)MaybeFlush();  // fastft-analyze: allow(discarded-status): best-effort
 
@@ -705,25 +722,11 @@ UNORDERED_KINDS = {"unordered_map", "unordered_set", "unordered_multimap",
 COMPOUND_ASSIGN = {"+=", "-=", "*=", "/="}
 
 
-def check_fp_determinism(src):
-    if src.rel_path.startswith(FP_EXEMPT_PREFIX):
-        return
-    tokens = src.tokens
+def unordered_loops(tokens):
+    """Yields (index of `for`, index of its head's `)`, names) for every loop
+    over a container this file declares unordered: a range-for over it, or
+    an iterator loop starting at its begin()/cbegin()."""
     n = len(tokens)
-    # std:: reduction algorithms — reassociation order is the algorithm's
-    # choice, not the caller's; deterministic code spells the loop out.
-    for i in range(n):
-        tok = tokens[i]
-        if tok.kind == "id" and tok.value in FP_REDUCERS and \
-                i >= 2 and tokens[i - 1].value == "::" and \
-                tokens[i - 2].value == "std" and \
-                i + 1 < n and tokens[i + 1].value in ("(", "<"):
-            yield tok.line, "fp-reduction", (
-                f"std::{tok.value} owns the combination order of a "
-                "floating-point reduction; write an index-order loop (or a "
-                "fastft::simd kernel) so the summation order is pinned")
-    # Range-for over a known-unordered container with compound accumulation
-    # in the body: hash order feeds the summation order.
     unordered_vars = set()
     for i in range(n):
         if tokens[i].kind == "id" and tokens[i].value in UNORDERED_KINDS:
@@ -749,37 +752,56 @@ def check_fp_determinism(src):
                          and (k == 0 or head[k - 1].value != ":")
                          and (k + 1 >= len(head) or
                               head[k + 1].value != ":")), None)
-        if colon_at is None:
-            continue
-        range_names = {t.value for t in head[colon_at + 1:] if t.kind == "id"}
-        if not (range_names & unordered_vars):
-            continue
-        # Scan the loop body (single statement or brace block).
-        j = close + 1
-        if j < n and tokens[j].value == "{":
-            depth = 0
-            while j < n:
-                if tokens[j].value == "{":
-                    depth += 1
-                elif tokens[j].value == "}":
-                    depth -= 1
-                    if depth == 0:
-                        break
-                if tokens[j].value in COMPOUND_ASSIGN:
-                    yield tokens[j].line, "fp-unordered-accumulate", (
-                        "compound accumulation inside a range-for over "
-                        f"unordered container "
-                        f"'{sorted(range_names & unordered_vars)[0]}': hash "
-                        "order is implementation-defined and becomes the "
-                        "summation order; iterate sorted keys instead")
-                j += 1
+        if colon_at is not None:
+            names = {t.value for t in head[colon_at + 1:] if t.kind == "id"}
         else:
-            while j < n and tokens[j].value != ";":
-                if tokens[j].value in COMPOUND_ASSIGN:
-                    yield tokens[j].line, "fp-unordered-accumulate", (
-                        "compound accumulation inside a range-for over an "
-                        "unordered container; iterate sorted keys instead")
-                j += 1
+            names = {head[k].value for k in range(len(head) - 3)
+                     if head[k + 1].value == "."
+                     and head[k + 2].value in ("begin", "cbegin")
+                     and head[k + 3].value == "("}
+        names &= unordered_vars
+        if names:
+            yield i, close, names
+
+
+def check_fp_determinism(src):
+    if src.rel_path.startswith(FP_EXEMPT_PREFIX):
+        return
+    tokens = src.tokens
+    n = len(tokens)
+    # std:: reduction algorithms — reassociation order is the algorithm's
+    # choice, not the caller's; deterministic code spells the loop out.
+    for i in range(n):
+        tok = tokens[i]
+        if tok.kind == "id" and tok.value in FP_REDUCERS and \
+                i >= 2 and tokens[i - 1].value == "::" and \
+                tokens[i - 2].value == "std" and \
+                i + 1 < n and tokens[i + 1].value in ("(", "<"):
+            yield tok.line, "fp-reduction", (
+                f"std::{tok.value} owns the combination order of a "
+                "floating-point reduction; write an index-order loop (or a "
+                "fastft::simd kernel) so the summation order is pinned")
+    # A loop over a known-unordered container with compound accumulation in
+    # the body (single statement or brace block): hash order feeds the
+    # summation order.
+    for _, close, names in unordered_loops(tokens):
+        j = close + 1
+        depth = 0
+        while j < n:
+            v = tokens[j].value
+            if v == "{":
+                depth += 1
+            elif v == "}":
+                depth -= 1
+            if v in COMPOUND_ASSIGN:
+                yield tokens[j].line, "fp-unordered-accumulate", (
+                    "compound accumulation inside a loop over unordered "
+                    f"container '{sorted(names)[0]}': hash order is "
+                    "implementation-defined and becomes the summation "
+                    "order; iterate sorted keys instead")
+            if depth == 0 and v in ("}", ";"):
+                break
+            j += 1
 
 
 CMAKE_BAD_FLAGS = ("-ffast-math", "-funsafe-math-optimizations", "-Ofast",
@@ -829,6 +851,112 @@ def check_cmake_flags(root):
 
 
 # ---------------------------------------------------------------------------
+# Pass 4: project conventions
+# ---------------------------------------------------------------------------
+
+SCORING_PREFIXES = (os.path.join("src", "core") + os.sep,
+                    os.path.join("src", "nn") + os.sep)
+USER_INPUT_PREFIXES = (os.path.join("src", "data", "csv"),
+                       os.path.join("src", "core", "expression_parser"),
+                       "tools" + os.sep)
+MUTEX_HOME = os.path.join("src", "common", "thread_annotations.h")
+RAW_MUTEX_TYPES = {
+    "mutex", "recursive_mutex", "recursive_timed_mutex", "timed_mutex",
+    "shared_mutex", "shared_timed_mutex", "lock_guard", "unique_lock",
+    "scoped_lock", "shared_lock", "condition_variable",
+    "condition_variable_any",
+}
+CLOCK_RE = re.compile(r"\w*_clock|Clock")
+INTRINSIC_INCLUDE_RE = re.compile(
+    r"#\s*include\s*[<\"](?:immintrin|arm_neon|x86intrin|xmmintrin|emmintrin|"
+    r"pmmintrin|tmmintrin|smmintrin|nmmintrin|avxintrin|avx2intrin)\.h[>\"]")
+INTRINSIC_CALL_RE = re.compile(
+    r"_mm(?:256|512)?_[a-z0-9_]+"
+    r"|v(?:ld1|st1|add|sub|mul|fma|mla|dup|get|set)q?_[a-z0-9_]+")
+CHECK_MACRO_RE = re.compile(r"FASTFT_CHECK(?:_[A-Z]+)?")
+PRAGMA_ONCE_RE = re.compile(r"#\s*pragma\s+once\b")
+
+
+def _value_at(tokens, i):
+    return tokens[i].value if 0 <= i < len(tokens) else None
+
+
+def _nondeterminism(tokens, i):
+    """Why the identifier at tokens[i] reads unseeded randomness or the
+    wall clock, or None."""
+    v = tokens[i].value
+    after = [_value_at(tokens, i + k) for k in range(1, 5)]
+    if v == "rand" and _value_at(tokens, i - 1) == "::" and \
+            _value_at(tokens, i - 2) == "std":
+        return "std::rand is unseeded global state"
+    if v == "srand" and after[0] == "(":
+        return "srand mutates global RNG state"
+    if v == "random_device":
+        return "std::random_device is nondeterministic entropy"
+    if v == "time" and after[0] == "(" and \
+            after[1] in ("nullptr", "NULL", "0") and after[2] == ")":
+        return "time(nullptr) reads the wall clock"
+    if CLOCK_RE.fullmatch(v) and after == ["::", "now", "(", ")"]:
+        return "argless clock-now read"
+    return None
+
+
+def check_conventions(src):
+    """Project conventions the compiler cannot express: seeded randomness,
+    ordered iteration in scoring paths, annotated locking, SIMD behind the
+    dispatch layer, Status (not CHECK) on user input, #pragma once."""
+    rel = src.rel_path
+    tokens = src.tokens
+    if rel.endswith(".h") and not any(
+            t.kind == "pp" and PRAGMA_ONCE_RE.match(t.value) for t in tokens):
+        yield 1, "pragma-once", "header is missing #pragma once"
+    if rel.startswith(SCORING_PREFIXES):
+        for i, _, names in unordered_loops(tokens):
+            yield tokens[i].line, "unordered-iteration", (
+                f"iterating unordered container '{sorted(names)[0]}' in a "
+                "scoring path: hash order is implementation-defined; copy "
+                "keys into a sorted container first")
+    intrinsics_allowed = rel.startswith(FP_EXEMPT_PREFIX)
+    user_input = rel.startswith(USER_INPUT_PREFIXES)
+    for i, tok in enumerate(tokens):
+        if tok.kind == "pp":
+            if not intrinsics_allowed and INTRINSIC_INCLUDE_RE.match(tok.value):
+                yield tok.line, "raw-intrinsics", (
+                    "SIMD intrinsics header outside the blessed kernel "
+                    "files; call the fastft::simd entry points "
+                    "(src/common/simd_kernels.h)")
+            continue
+        if tok.kind != "id":
+            continue
+        why = _nondeterminism(tokens, i)
+        if why:
+            yield tok.line, "nondeterminism", (
+                f"{why}; derive randomness from a seeded fastft::Rng and "
+                "time from WallTimer or a span (src/common/timer.h, "
+                "src/common/trace.h)")
+        qualified = _value_at(tokens, i - 1) == "::" and \
+            _value_at(tokens, i - 2) == "std"
+        if qualified and tok.value in RAW_MUTEX_TYPES and rel != MUTEX_HOME:
+            yield tok.line, "raw-mutex", (
+                f"std::{tok.value} bypasses the annotated wrappers; use "
+                "fastft::common::Mutex / MutexLock / CondVar "
+                "(src/common/thread_annotations.h) so -Wthread-safety can "
+                "check the lock discipline")
+        if _value_at(tokens, i + 1) != "(":
+            continue
+        if not intrinsics_allowed and INTRINSIC_CALL_RE.fullmatch(tok.value):
+            yield tok.line, "raw-intrinsics", (
+                f"'{tok.value}' is a raw SIMD intrinsic outside the blessed "
+                "kernel files; call the fastft::simd entry points "
+                "(src/common/simd_kernels.h) so the bit-identity contract "
+                "and per-TU ISA flags stay enforceable")
+        if user_input and CHECK_MACRO_RE.fullmatch(tok.value):
+            yield tok.line, "check-user-input", (
+                "CHECK in an input-parsing layer aborts on malformed user "
+                "input; return a Status (common/status.h) instead")
+
+
+# ---------------------------------------------------------------------------
 # Driver
 # ---------------------------------------------------------------------------
 
@@ -847,6 +975,15 @@ RULES = [
      "FP compound accumulation over unordered-container iteration"),
     ("fp-flag-drift",
      "-ffast-math family in CMake, or missing -ffp-contract=off"),
+    ("nondeterminism", "unseeded randomness / argless clock-now reads"),
+    ("unordered-iteration",
+     "loop over an unordered container in src/core and src/nn scoring paths"),
+    ("raw-mutex", "raw std::mutex family bypassing the annotated wrappers"),
+    ("raw-intrinsics",
+     "SIMD intrinsics outside the blessed src/common/simd_kernels* files"),
+    ("check-user-input",
+     "FASTFT_CHECK in parsing layers (csv, expression parser, tools/)"),
+    ("pragma-once", "header without #pragma once"),
 ]
 
 
@@ -953,6 +1090,8 @@ def main(argv):
         for line, rule, message in check_error_discipline(src, index):
             emit(rel, line, rule, message)
         for line, rule, message in check_fp_determinism(src):
+            emit(rel, line, rule, message)
+        for line, rule, message in check_conventions(src):
             emit(rel, line, rule, message)
 
     for rel, line, rule, message in check_layering(root, sources, allowlist):

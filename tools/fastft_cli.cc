@@ -213,9 +213,9 @@ void PrintRunSummary(const Dataset& dataset, const EngineResult& result) {
   std::printf("downstream evaluations: %lld, predictor estimations: %lld\n",
               static_cast<long long>(result.downstream_evaluations),
               static_cast<long long>(result.predictor_estimations));
+  std::map<std::string, double> times = TimeBreakdown(result.spans);
   std::printf("time: evaluation %.2fs, estimation %.2fs, optimization %.2fs\n",
-              result.times.Get("evaluation"), result.times.Get("estimation"),
-              result.times.Get("optimization"));
+              times["evaluation"], times["estimation"], times["optimization"]);
   if (result.resumed) std::printf("resumed from checkpoint\n");
   if (result.interrupted) {
     std::printf("interrupted: partial report covers %d completed episodes\n",
