@@ -140,20 +140,22 @@ std::vector<std::vector<int>> ClusterFeatures(const FeatureSpace& space,
                                               const ClusteringConfig& config) {
   const int d = space.NumColumns();
   FASTFT_CHECK_GT(d, 0);
+  FASTFT_CHECK_EQ(config.mi_bins, FeatureSpace::kMiBins)
+      << "the FeatureSpace caches MI at a fixed bin count";
   if (config.mode == ClusterMode::kSingleton) return SingletonClusters(d);
   if (config.mode == ClusterMode::kRandom) return RandomClusters(d, config);
   std::vector<std::vector<int>> clusters = SingletonClusters(d);
   if (d <= config.min_clusters) return clusters;
 
-  // Reuse the FeatureSpace's cached bins and label relevances.
+  // Relevance and redundancy come from the FeatureSpace's caches, so only
+  // pairs involving columns new since the last call are computed here.
   PairwiseMi mi;
   mi.relevance.resize(d);
   for (int c = 0; c < d; ++c) mi.relevance[c] = space.LabelRelevance(c);
   mi.redundancy.assign(d, std::vector<double>(d, 0.0));
   for (int i = 0; i < d; ++i) {
     for (int j = i + 1; j < d; ++j) {
-      double value = DiscreteMutualInformation(space.BinnedValues(i),
-                                               space.BinnedValues(j));
+      double value = space.Redundancy(i, j);
       mi.redundancy[i][j] = value;
       mi.redundancy[j][i] = value;
     }

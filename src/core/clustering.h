@@ -35,7 +35,9 @@ struct ClusteringConfig {
   int max_clusters = 12;
   /// Denominator guard ς of Eq. 2.
   double varsigma = 1e-3;
-  int mi_bins = 8;
+  /// Quantile bins for MI. The FeatureSpace overload (the engine path)
+  /// requires FeatureSpace::kMiBins, the bin count its caches use.
+  int mi_bins = FeatureSpace::kMiBins;
 };
 
 /// Clusters the columns of `frame`; returns disjoint index groups covering
@@ -44,7 +46,9 @@ std::vector<std::vector<int>> ClusterFeatures(
     const DataFrame& frame, const std::vector<double>& labels, TaskType task,
     const ClusteringConfig& config = {});
 
-/// Convenience overload over the current columns of a FeatureSpace.
+/// Overload over the current columns of a FeatureSpace, reading its cached
+/// relevance and pairwise redundancy. CHECK-fails unless config.mi_bins is
+/// FeatureSpace::kMiBins.
 std::vector<std::vector<int>> ClusterFeatures(
     const FeatureSpace& space, const ClusteringConfig& config = {});
 

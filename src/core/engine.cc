@@ -227,6 +227,12 @@ Status ValidateEngineConfig(const EngineConfig& config) {
     return invalid("tokenizer_feature_buckets and tokenizer_max_length must "
                    "be >= 1");
   }
+  if (config.clustering.mi_bins != FeatureSpace::kMiBins) {
+    return invalid("clustering.mi_bins must be " +
+                   std::to_string(FeatureSpace::kMiBins) +
+                   " (the FeatureSpace's MI bin count), got " +
+                   std::to_string(config.clustering.mi_bins));
+  }
   if (config.num_threads < 0) {
     return invalid("num_threads must be >= 0 (0 = all hardware threads), "
                    "got " +

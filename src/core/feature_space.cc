@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "common/logging.h"
 #include "common/rng.h"
@@ -16,17 +17,25 @@ FeatureSpace::FeatureSpace(const Dataset& base, FeatureSpaceConfig config)
   num_originals_ = base_.NumFeatures();
   FASTFT_CHECK_GE(config_.max_features, num_originals_)
       << "budget below original feature count";
-  Reset();
-}
-
-void FeatureSpace::Reset() {
-  columns_.clear();
-  for (int c = 0; c < base_.NumFeatures(); ++c) {
+  if (base_.task == TaskType::kRegression) {
+    label_codes_ = QuantileBin(base_.labels, kMiBins);
+  } else {
+    label_codes_.reserve(base_.labels.size());
+    for (double y : base_.labels) label_codes_.push_back(static_cast<int>(y));
+  }
+  for (int c = 0; c < num_originals_; ++c) {
     Column col;
     col.values = base_.features.Col(c);
     col.expr = MakeLeaf(c);
     columns_.push_back(std::move(col));
   }
+  RebuildHashes();
+}
+
+void FeatureSpace::Reset() {
+  // Originals only ever reference lower originals, so truncation leaves
+  // their cached rows valid.
+  columns_.resize(num_originals_);
   RebuildHashes();
 }
 
@@ -57,7 +66,7 @@ const std::vector<int>& FeatureSpace::BinnedValues(int index) const {
   FASTFT_CHECK_GE(index, 0);
   FASTFT_CHECK_LT(index, NumColumns());
   const Column& col = columns_[index];
-  if (col.binned.empty()) col.binned = QuantileBin(col.values, 8);
+  if (col.binned.empty()) col.binned = QuantileBin(col.values, kMiBins);
   return col.binned;
 }
 
@@ -67,9 +76,21 @@ double FeatureSpace::LabelRelevance(int index) const {
   const Column& col = columns_[index];
   if (col.relevance < 0.0) {
     col.relevance =
-        EstimateMIWithLabel(col.values, base_.labels, base_.task);
+        DiscreteMutualInformation(BinnedValues(index), label_codes_);
   }
   return col.relevance;
+}
+
+double FeatureSpace::Redundancy(int i, int j) const {
+  FASTFT_CHECK_GE(i, 0);
+  FASTFT_CHECK_LT(i, j);
+  FASTFT_CHECK_LT(j, NumColumns());
+  std::vector<double>& row = columns_[j].pair_mi;
+  if (row.empty()) row.assign(j, -1.0);
+  if (row[i] < 0.0) {
+    row[i] = DiscreteMutualInformation(BinnedValues(i), BinnedValues(j));
+  }
+  return row[i];
 }
 
 std::string FeatureSpace::ColumnName(int index) const {
@@ -253,7 +274,23 @@ void FeatureSpace::EnforceBudget() {
     survivors.push_back(ranked[i].index);
   }
   std::sort(survivors.begin(), survivors.end());  // preserve creation order
-  for (int idx : survivors) kept.push_back(std::move(columns_[idx]));
+  // Old index of every kept column, in new order. Originals keep their rows
+  // (all their partners are originals); a survivor's row is compacted to
+  // the kept partners below it.
+  std::vector<int> old_index(num_originals_);
+  std::iota(old_index.begin(), old_index.end(), 0);
+  for (int idx : survivors) {
+    Column& col = columns_[idx];
+    if (!col.pair_mi.empty()) {
+      std::vector<double> row(old_index.size());
+      for (size_t k = 0; k < old_index.size(); ++k) {
+        row[k] = col.pair_mi[old_index[k]];
+      }
+      col.pair_mi = std::move(row);
+    }
+    old_index.push_back(idx);
+    kept.push_back(std::move(col));
+  }
   columns_ = std::move(kept);
   RebuildHashes();
 }

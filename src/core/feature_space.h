@@ -34,6 +34,10 @@ struct FeatureSpaceConfig {
 
 class FeatureSpace {
  public:
+  /// Quantile bins behind every MI the space caches (bins, relevance,
+  /// redundancy); ClusteringConfig::mi_bins must equal it on this path.
+  static constexpr int kMiBins = 8;
+
   FeatureSpace(const Dataset& base, FeatureSpaceConfig config = {});
 
   int NumColumns() const { return static_cast<int>(columns_.size()); }
@@ -54,6 +58,11 @@ class FeatureSpace {
   /// Cached MI(F_index, y).
   double LabelRelevance(int index) const;
 
+  /// Cached MI(F_i, F_j) for i < j: the pairwise redundancy of Eq. 2.
+  /// Always computed as DiscreteMutualInformation(BinnedValues(i),
+  /// BinnedValues(j)), lower (= older) index first.
+  double Redundancy(int i, int j) const;
+
   /// Group-wise crossing: applies `op` to every head column (unary) or to
   /// sampled head × tail pairs (binary), adds the surviving columns, and
   /// returns how many were added. `rng` drives pair sampling.
@@ -72,7 +81,8 @@ class FeatureSpace {
   /// Drops lowest-MI generated columns until the budget holds.
   void EnforceBudget();
 
-  /// Back to the original columns only.
+  /// Back to the original columns only. The originals' caches (bins,
+  /// relevance, summary, pairwise MI) survive, so each episode starts warm.
   void Reset();
 
   const FeatureSpaceConfig& config() const { return config_; }
@@ -87,6 +97,9 @@ class FeatureSpace {
     mutable Summary summary;
     mutable std::vector<int> binned;  // empty until first use
     mutable double relevance = -1.0;  // <0 until first use
+    // MI with each lower-index column (this column's row of the triangular
+    // redundancy table); entries <0 until first use, empty until any is.
+    mutable std::vector<double> pair_mi;
   };
 
   /// Cleans a candidate column in place; false if it must be rejected
@@ -106,6 +119,9 @@ class FeatureSpace {
   FeatureSpaceConfig config_;
   int num_originals_ = 0;
   std::vector<Column> columns_;
+  // Label codes MI(F, y) is measured against: class ids, or kMiBins
+  // quantile bins of the target for regression.
+  std::vector<int> label_codes_;
   std::unordered_set<uint64_t> value_hashes_;
   std::unordered_set<uint64_t> expr_hashes_;
   std::unordered_set<uint64_t> rank_hashes_;

@@ -1,6 +1,8 @@
 #include "core/mutual_information.h"
 
 #include <algorithm>
+#include <array>
+#include <climits>
 #include <cmath>
 #include <numeric>
 
@@ -35,39 +37,66 @@ std::vector<int> QuantileBin(const std::vector<double>& values, int bins) {
   return out;
 }
 
-double DiscreteMutualInformation(const std::vector<int>& a,
-                                 const std::vector<int>& b) {
-  FASTFT_CHECK_EQ(a.size(), b.size());
+namespace {
+
+// Counts into `cells` (ka + kb + ka*kb zeroed ints: the two marginals, then
+// the row-major joint table) and sums the plug-in MI in (x, y) order.
+double MiFromCounts(const std::vector<int>& a, const std::vector<int>& b,
+                    int ka, int kb, int* cells) {
+  int* ca = cells;
+  int* cb = cells + ka;
+  int* joint = cells + ka + kb;
+  for (size_t i = 0; i < a.size(); ++i) {
+    ++ca[a[i]];
+    ++cb[b[i]];
+    ++joint[static_cast<size_t>(a[i]) * kb + b[i]];
+  }
   const double n = static_cast<double>(a.size());
-  if (a.empty()) return 0.0;
-  // Flat histograms: bin ids are small non-negative integers (quantile bins
-  // or class labels), so dense counting beats associative containers in this
-  // clustering hot path.
-  int max_a = 0, max_b = 0;
-  for (size_t i = 0; i < a.size(); ++i) {
-    FASTFT_CHECK_GE(a[i], 0);
-    FASTFT_CHECK_GE(b[i], 0);
-    max_a = std::max(max_a, a[i]);
-    max_b = std::max(max_b, b[i]);
-  }
-  const int ka = max_a + 1, kb = max_b + 1;
-  std::vector<double> pa(ka, 0.0), pb(kb, 0.0);
-  std::vector<double> joint(static_cast<size_t>(ka) * kb, 0.0);
-  for (size_t i = 0; i < a.size(); ++i) {
-    pa[a[i]] += 1.0;
-    pb[b[i]] += 1.0;
-    joint[static_cast<size_t>(a[i]) * kb + b[i]] += 1.0;
-  }
   double mi = 0.0;
   for (int x = 0; x < ka; ++x) {
-    if (pa[x] == 0.0) continue;
+    if (ca[x] == 0) continue;
+    const double pa = static_cast<double>(ca[x]);
     for (int y = 0; y < kb; ++y) {
-      double pxy = joint[static_cast<size_t>(x) * kb + y];
-      if (pxy == 0.0) continue;
-      mi += (pxy / n) * std::log(pxy * n / (pa[x] * pb[y]));
+      const int count = joint[static_cast<size_t>(x) * kb + y];
+      if (count == 0) continue;
+      const double pxy = static_cast<double>(count);
+      const double pb = static_cast<double>(cb[y]);
+      mi += (pxy / n) * std::log(pxy * n / (pa * pb));
     }
   }
   return std::max(0.0, mi);
+}
+
+}  // namespace
+
+double DiscreteMutualInformation(const std::vector<int>& a,
+                                 const std::vector<int>& b) {
+  FASTFT_CHECK_EQ(a.size(), b.size());
+  if (a.empty()) return 0.0;
+  FASTFT_CHECK_LE(a.size(), static_cast<size_t>(INT_MAX));
+  // Dense integer histograms: bin ids are small non-negative integers
+  // (quantile bins or class labels). Counts are exact in int, and converting
+  // them to double gives the same operands a double histogram would.
+  int min_code = 0, max_a = 0, max_b = 0;
+  for (size_t i = 0; i < a.size(); ++i) {
+    min_code = std::min(min_code, std::min(a[i], b[i]));
+    max_a = std::max(max_a, a[i]);
+    max_b = std::max(max_b, b[i]);
+  }
+  FASTFT_CHECK_GE(min_code, 0) << "MI codes must be non-negative";
+  const int ka = max_a + 1, kb = max_b + 1;
+  const size_t num_cells =
+      static_cast<size_t>(ka) + kb + static_cast<size_t>(ka) * kb;
+  // The clustering hot path (8 x 8 quantile bins) counts into a fixed stack
+  // table; only very wide code ranges (many classes) fall back to the heap.
+  constexpr size_t kStackCells = 1024;
+  if (num_cells <= kStackCells) {
+    std::array<int, kStackCells> cells;
+    std::fill_n(cells.begin(), num_cells, 0);
+    return MiFromCounts(a, b, ka, kb, cells.data());
+  }
+  std::vector<int> cells(num_cells, 0);
+  return MiFromCounts(a, b, ka, kb, cells.data());
 }
 
 double EstimateMI(const std::vector<double>& a, const std::vector<double>& b,

@@ -383,18 +383,26 @@ EngineResult RunOnce(EngineConfig cfg) {
   return FastFtEngine(cfg).Run(SmallDataset()).ValueOrDie();
 }
 
-TEST(CheckpointTest, ResumeWithLongerHorizonMatchesUninterrupted) {
-  EngineResult full = RunOnce(SmallConfig());
+// Actor-critic clusters once per step; DQN clusters again at the next state
+// for its bootstrap targets, so it leans hardest on the FeatureSpace's MI
+// caches, which a resume restores cold.
+class CheckpointResumeTest : public testing::TestWithParam<RlFramework> {};
 
-  std::string path = TempPath("resume_serial/fastft.ckpt");
-  EngineConfig partial = SmallConfig();
+TEST_P(CheckpointResumeTest, ResumeWithLongerHorizonMatchesUninterrupted) {
+  EngineConfig config = SmallConfig();
+  config.framework = GetParam();
+  EngineResult full = RunOnce(config);
+
+  std::string path = TempPath(std::string("resume_serial_") +
+                              RlFrameworkName(GetParam()) + "/fastft.ckpt");
+  EngineConfig partial = config;
   partial.episodes = 3;  // "killed" at the episode-3 boundary
   partial.checkpoint_path = path;
   EngineResult first = RunOnce(partial);
   EXPECT_FALSE(first.resumed);
   EXPECT_EQ(first.completed_episodes, 3);
 
-  EngineConfig rest = SmallConfig();
+  EngineConfig rest = config;
   rest.checkpoint_path = path;
   rest.resume = true;
   EngineResult second = RunOnce(rest);
@@ -402,6 +410,13 @@ TEST(CheckpointTest, ResumeWithLongerHorizonMatchesUninterrupted) {
   EXPECT_EQ(second.completed_episodes, 5);
   ExpectSameResult(full, second);
 }
+
+INSTANTIATE_TEST_SUITE_P(Frameworks, CheckpointResumeTest,
+                         testing::Values(RlFramework::kActorCritic,
+                                         RlFramework::kDqn),
+                         [](const testing::TestParamInfo<RlFramework>& info) {
+                           return std::string(RlFrameworkName(info.param));
+                         });
 
 TEST(CheckpointTest, ResumeMatchesAcrossThreadCounts) {
   EngineResult full = RunOnce(SmallConfig());  // serial, uncheckpointed

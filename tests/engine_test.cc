@@ -277,6 +277,21 @@ TEST(EngineTest, NegativeThreadCountRejected) {
   EXPECT_EQ(run.status().code(), StatusCode::kInvalidArgument);
 }
 
+TEST(EngineTest, MiBinsOtherThanFeatureSpaceBinsRejected) {
+  // The engine clusters through the FeatureSpace, whose MI caches use a
+  // fixed bin count; any other clustering.mi_bins would be ignored.
+  EngineConfig cfg = FastConfig();
+  cfg.clustering.mi_bins = FeatureSpace::kMiBins + 4;
+  Status st = ValidateEngineConfig(cfg);
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(st.message().find("mi_bins"), std::string::npos);
+  Result<EngineResult> run = FastFtEngine(cfg).Run(SmallDataset());
+  ASSERT_FALSE(run.ok());
+  EXPECT_EQ(run.status().code(), StatusCode::kInvalidArgument);
+  cfg.clustering.mi_bins = FeatureSpace::kMiBins;
+  EXPECT_TRUE(ValidateEngineConfig(cfg).ok());
+}
+
 TEST(EngineTest, RlFrameworkNames) {
   EXPECT_STREQ(RlFrameworkName(RlFramework::kActorCritic), "ActorCritic");
   EXPECT_STREQ(RlFrameworkName(RlFramework::kDuelingDoubleDqn),

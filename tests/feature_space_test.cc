@@ -5,7 +5,9 @@
 #include <cmath>
 
 #include "common/rng.h"
+#include "core/clustering.h"
 #include "core/feature_space.h"
+#include "core/mutual_information.h"
 #include "data/synthetic.h"
 
 namespace fastft {
@@ -163,6 +165,101 @@ TEST(FeatureSpaceTest, GeneratedExpressionsInOrder) {
   ASSERT_EQ(exprs.size(), 2u);
   EXPECT_EQ(ExprToString(exprs[0]), "square(f0)");
   EXPECT_EQ(ExprToString(exprs[1]), "sqrt(f1)");
+}
+
+// Every pairwise redundancy `space` reports equals a fresh MI of the two
+// columns' values (lower index first).
+void ExpectRedundancyFresh(const FeatureSpace& space) {
+  for (int j = 1; j < space.NumColumns(); ++j) {
+    const std::vector<int> bj =
+        QuantileBin(space.Values(j), FeatureSpace::kMiBins);
+    for (int i = 0; i < j; ++i) {
+      ASSERT_EQ(space.Redundancy(i, j),
+                DiscreteMutualInformation(
+                    QuantileBin(space.Values(i), FeatureSpace::kMiBins), bj))
+          << "pair (" << i << ", " << j << ")";
+    }
+  }
+}
+
+// Everything observable about a space's columns and their cached MI.
+void ExpectSameSpace(const FeatureSpace& a, const FeatureSpace& b) {
+  ASSERT_EQ(a.NumColumns(), b.NumColumns());
+  for (int c = 0; c < a.NumColumns(); ++c) {
+    EXPECT_EQ(a.Values(c), b.Values(c));
+    EXPECT_EQ(ExprToString(a.Expression(c)), ExprToString(b.Expression(c)));
+    EXPECT_EQ(a.LabelRelevance(c), b.LabelRelevance(c));
+    EXPECT_EQ(a.BinnedValues(c), b.BinnedValues(c));
+    for (int i = 0; i < c; ++i) {
+      EXPECT_EQ(a.Redundancy(i, c), b.Redundancy(i, c));
+    }
+  }
+}
+
+// Property: through a random walk of crossings, budget trims and resets,
+// the lazily filled redundancy cache always equals a fresh computation, and
+// clustering from the caches equals clustering the materialized frame.
+TEST(FeatureSpaceTest, RedundancyCacheMatchesFreshMiThroughTrimsAndResets) {
+  for (uint64_t seed : {3u, 4u, 5u}) {
+    SyntheticSpec spec;
+    spec.samples = 90;
+    spec.features = 6;
+    spec.seed = seed;
+    const Dataset ds =
+        seed % 2 == 0 ? MakeRegression(spec) : MakeClassification(spec);
+    FeatureSpaceConfig cfg;
+    cfg.max_features = 14;
+    cfg.max_new_per_step = 5;
+    FeatureSpace space(ds, cfg);
+    Rng rng(seed);
+    int trims = 0;
+    for (int step = 0; step < 60; ++step) {
+      if (step % 15 == 14) {
+        space.Reset();
+        FeatureSpace fresh(ds, cfg);
+        ExpectSameSpace(space, fresh);
+        // Dedup state is back too: both accept the same candidates.
+        OpType op = OpFromIndex(rng.UniformInt(kNumOperations));
+        std::vector<int> tail;
+        if (!IsUnary(op)) tail = {0, 1, 2};
+        Rng rng_fresh = rng;
+        EXPECT_EQ(space.ApplyOperation(op, {3, 4, 5}, tail, &rng),
+                  fresh.ApplyOperation(op, {3, 4, 5}, tail, &rng_fresh));
+        ExpectSameSpace(space, fresh);
+        continue;
+      }
+      OpType op = OpFromIndex(rng.UniformInt(kNumOperations));
+      std::vector<int> head, tail;
+      for (int k = 0; k < 3; ++k) {
+        head.push_back(rng.UniformInt(space.NumColumns()));
+        if (!IsUnary(op)) tail.push_back(rng.UniformInt(space.NumColumns()));
+      }
+      const int before = space.NumColumns();
+      const int added = space.ApplyOperation(op, head, tail, &rng);
+      if (before + added > space.NumColumns()) ++trims;
+      // Leave some rows cold or partly filled so trims compact every kind.
+      switch (rng.UniformInt(3)) {
+        case 0: {
+          ExpectRedundancyFresh(space);
+          Dataset current = space.ToDataset();
+          EXPECT_EQ(ClusterFeatures(space),
+                    ClusterFeatures(current.features, current.labels,
+                                    current.task));
+          break;
+        }
+        case 1:
+          for (int k = 0; k < 10 && space.NumColumns() > 1; ++k) {
+            const int j = 1 + rng.UniformInt(space.NumColumns() - 1);
+            (void)space.Redundancy(rng.UniformInt(j), j);
+          }
+          break;
+        default:
+          break;
+      }
+    }
+    ExpectRedundancyFresh(space);
+    EXPECT_GT(trims, 3) << "the walk must push past the budget";
+  }
 }
 
 TEST(FeatureSpaceTest, BudgetBelowOriginalsChecks) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
 
@@ -74,6 +75,91 @@ TEST(MiTest, NonNegative) {
     }
     EXPECT_GE(EstimateMI(x, y), 0.0);
   }
+}
+
+// The double-histogram DiscreteMutualInformation the integer-counting one
+// replaced, kept verbatim as the bitwise reference.
+double ReferenceDiscreteMutualInformation(const std::vector<int>& a,
+                                          const std::vector<int>& b) {
+  const double n = static_cast<double>(a.size());
+  if (a.empty()) return 0.0;
+  int max_a = 0, max_b = 0;
+  for (size_t i = 0; i < a.size(); ++i) {
+    max_a = std::max(max_a, a[i]);
+    max_b = std::max(max_b, b[i]);
+  }
+  const int ka = max_a + 1, kb = max_b + 1;
+  std::vector<double> pa(ka, 0.0), pb(kb, 0.0);
+  std::vector<double> joint(static_cast<size_t>(ka) * kb, 0.0);
+  for (size_t i = 0; i < a.size(); ++i) {
+    pa[a[i]] += 1.0;
+    pb[b[i]] += 1.0;
+    joint[static_cast<size_t>(a[i]) * kb + b[i]] += 1.0;
+  }
+  double mi = 0.0;
+  for (int x = 0; x < ka; ++x) {
+    if (pa[x] == 0.0) continue;
+    for (int y = 0; y < kb; ++y) {
+      double pxy = joint[static_cast<size_t>(x) * kb + y];
+      if (pxy == 0.0) continue;
+      mi += (pxy / n) * std::log(pxy * n / (pa[x] * pb[y]));
+    }
+  }
+  return std::max(0.0, mi);
+}
+
+// Codes in [0, bins): uniform, or skewed (each code taken with half the
+// probability of the one below it).
+std::vector<int> RandomCodes(Rng* rng, size_t n, int bins, bool skewed) {
+  std::vector<int> out(n);
+  for (int& code : out) {
+    if (skewed) {
+      code = 0;
+      while (code + 1 < bins && rng->Bernoulli(0.5)) ++code;
+    } else {
+      code = rng->UniformInt(bins);
+    }
+  }
+  return out;
+}
+
+TEST(MiTest, DiscreteMiBitIdenticalToDoubleHistogramReference) {
+  Rng rng(17);
+  struct Case {
+    int bins_a, bins_b;
+    bool skewed;
+  };
+  // 2/8/20 bins, skewed marginals, unequal bin counts, and a code range
+  // wide enough to leave the fixed-size counting table.
+  const std::vector<Case> cases = {{2, 2, false},  {8, 8, false},
+                                   {20, 20, false}, {8, 8, true},
+                                   {20, 20, true},  {3, 17, false},
+                                   {17, 3, true},   {2, 20, false},
+                                   {40, 40, false}, {1, 8, false}};
+  for (const Case& c : cases) {
+    for (size_t n : {1u, 7u, 160u, 900u}) {
+      for (int trial = 0; trial < 5; ++trial) {
+        std::vector<int> a = RandomCodes(&rng, n, c.bins_a, c.skewed);
+        std::vector<int> b = RandomCodes(&rng, n, c.bins_b, c.skewed);
+        EXPECT_EQ(DiscreteMutualInformation(a, b),
+                  ReferenceDiscreteMutualInformation(a, b))
+            << c.bins_a << "x" << c.bins_b << " skewed=" << c.skewed
+            << " n=" << n;
+        // Correlated pair: b partly copies a.
+        for (size_t i = 0; i < n; ++i) {
+          if (rng.Bernoulli(0.6)) b[i] = a[i] % c.bins_b;
+        }
+        EXPECT_EQ(DiscreteMutualInformation(a, b),
+                  ReferenceDiscreteMutualInformation(a, b));
+      }
+    }
+  }
+  EXPECT_EQ(DiscreteMutualInformation({}, {}), 0.0);
+}
+
+TEST(MiTest, DiscreteMiRejectsNegativeCodes) {
+  EXPECT_DEATH(DiscreteMutualInformation({0, 1, -1}, {0, 1, 1}),
+               "non-negative");
 }
 
 TEST(MiTest, LabelRelevanceClassification) {
@@ -180,6 +266,35 @@ TEST(ClusteringTest, FeatureSpaceOverloadMatchesFrameOverload) {
   auto a = ClusterFeatures(space);
   auto b = ClusterFeatures(ds.features, ds.labels, ds.task);
   EXPECT_EQ(a, b);
+}
+
+TEST(ClusteringTest, FeatureSpaceBinCountIsTheClusteringDefault) {
+  EXPECT_EQ(ClusteringConfig{}.mi_bins, FeatureSpace::kMiBins);
+  SyntheticSpec spec;
+  spec.samples = 120;
+  spec.features = 4;
+  for (TaskType task : {TaskType::kClassification, TaskType::kRegression}) {
+    Dataset ds = task == TaskType::kRegression ? MakeRegression(spec)
+                                               : MakeClassification(spec);
+    FeatureSpace space(ds);
+    for (int c = 0; c < space.NumColumns(); ++c) {
+      EXPECT_EQ(space.BinnedValues(c),
+                QuantileBin(space.Values(c), FeatureSpace::kMiBins));
+      EXPECT_EQ(space.LabelRelevance(c),
+                EstimateMIWithLabel(space.Values(c), ds.labels, ds.task,
+                                    FeatureSpace::kMiBins));
+    }
+  }
+}
+
+TEST(ClusteringTest, FeatureSpaceOverloadRequiresSpaceBinCount) {
+  SyntheticSpec spec;
+  spec.samples = 80;
+  spec.features = 5;
+  FeatureSpace space(MakeClassification(spec));
+  ClusteringConfig cfg;
+  cfg.mi_bins = 16;
+  EXPECT_DEATH(ClusterFeatures(space, cfg), "fixed bin count");
 }
 
 TEST(ClusteringTest, SingleFeatureSingleCluster) {
