@@ -1,7 +1,8 @@
 // Micro-benchmarks (google-benchmark) for the performance-critical
 // primitives: operation application, MI estimation, clustering, state
-// representation, predictor inference, and — the paper's central contrast —
-// one predictor forward pass vs. one full downstream evaluation.
+// representation, predictor inference, tree, forest and boosting fits, and —
+// the paper's central contrast — one predictor forward pass vs. one full
+// downstream evaluation.
 //
 // Before the google-benchmark suite runs, a per-kernel scalar-vs-SIMD gate
 // times every simd_kernels entry point at representative shapes, asserts the
@@ -29,7 +30,10 @@
 #include "core/performance_predictor.h"
 #include "core/state.h"
 #include "data/synthetic.h"
+#include "ml/decision_tree.h"
 #include "ml/evaluator.h"
+#include "ml/gradient_boosting.h"
+#include "ml/random_forest.h"
 
 namespace fastft {
 namespace {
@@ -301,6 +305,66 @@ void BM_DownstreamEvaluation(benchmark::State& state) {
 }
 BENCHMARK(BM_DownstreamEvaluation)->Arg(200)->Arg(500)->Arg(1000)
     ->Unit(benchmark::kMillisecond);
+
+// Tree fits at the engine benchmark's two input shapes: arg 0 is the
+// 900x48 4-class classification set, arg 1 the 160x48 regression set.
+Dataset FitShape(int64_t shape) {
+  SyntheticSpec spec;
+  spec.features = 48;
+  spec.informative = 26;
+  spec.interaction_terms = 16;
+  spec.seed = 5;
+  if (shape == 0) {
+    spec.samples = 900;
+    spec.classes = 4;
+    return MakeClassification(spec);
+  }
+  spec.samples = 160;
+  return MakeRegression(spec);
+}
+
+void BM_RandomForestFit(benchmark::State& state) {
+  Dataset ds = FitShape(state.range(0));
+  Rows x = ds.features.ToRows();
+  ForestConfig fc;
+  fc.regression = ds.task == TaskType::kRegression;
+  fc.num_trees = 8;
+  fc.max_depth = 6;
+  for (auto _ : state) {
+    RandomForest forest(fc);
+    forest.Fit(x, ds.labels);
+    benchmark::DoNotOptimize(forest.num_classes());
+  }
+}
+BENCHMARK(BM_RandomForestFit)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
+void BM_DecisionTreeFit(benchmark::State& state) {
+  Dataset ds = FitShape(state.range(0));
+  Rows x = ds.features.ToRows();
+  TreeConfig tc;
+  tc.regression = ds.task == TaskType::kRegression;
+  tc.max_depth = 6;
+  tc.max_features = 0;  // every feature at every node
+  for (auto _ : state) {
+    DecisionTree tree(tc);
+    tree.Fit(x, ds.labels);
+    benchmark::DoNotOptimize(tree.FeatureImportance().data());
+  }
+}
+BENCHMARK(BM_DecisionTreeFit)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
+void BM_GradientBoostingFit(benchmark::State& state) {
+  Dataset ds = FitShape(1);
+  Rows x = ds.features.ToRows();
+  BoostingConfig bc;
+  bc.regression = true;
+  for (auto _ : state) {
+    GradientBoosting gb(bc);
+    gb.Fit(x, ds.labels);
+    benchmark::DoNotOptimize(gb.Predict({x[0]}));
+  }
+}
+BENCHMARK(BM_GradientBoostingFit)->Unit(benchmark::kMillisecond);
 
 // The hot matrix product at the gate's shape, through the dispatcher, for
 // profiling runs (the gate above owns the scalar-vs-SIMD comparison).

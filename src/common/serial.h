@@ -81,7 +81,9 @@ class BinaryReader {
            std::to_string(data_.size()));
       return false;
     }
-    std::memcpy(dst, data_.data() + pos_, size);
+    // memcpy with a null pointer is undefined even for zero bytes, and an
+    // empty buffer or vector may hand out one.
+    if (size > 0) std::memcpy(dst, data_.data() + pos_, size);
     pos_ += size;
     return true;
   }
@@ -107,8 +109,7 @@ class BinaryReader {
     std::vector<double> out;
     if (failed_) return out;
     out.resize(count);
-    std::memcpy(out.data(), data_.data() + pos_, count * sizeof(double));
-    pos_ += count * sizeof(double);
+    ReadRaw(out.data(), count * sizeof(double));
     return out;
   }
   std::vector<int> ReadVecInt() {
@@ -124,8 +125,7 @@ class BinaryReader {
     std::vector<uint64_t> out;
     if (failed_) return out;
     out.resize(count);
-    std::memcpy(out.data(), data_.data() + pos_, count * sizeof(uint64_t));
-    pos_ += count * sizeof(uint64_t);
+    ReadRaw(out.data(), count * sizeof(uint64_t));
     return out;
   }
 

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include "common/logging.h"
 #include "common/metrics.h"
@@ -34,22 +36,17 @@ void RandomForest::Fit(const Rows& x, const std::vector<double>& y) {
   const int boot_n =
       std::max(1, static_cast<int>(config_.bootstrap_fraction * n));
 
-  // Draw every bootstrap serially (identical draws for any thread count),
+  // One rank table serves every tree (read-only). Draw every bootstrap
+  // serially as a row-index list (identical draws for any thread count),
   // then fit trees — in parallel when configured.
-  struct Bootstrap {
-    Rows bx;
-    std::vector<double> by;
-  };
-  std::vector<Bootstrap> bootstraps(config_.num_trees);
-  for (int t = 0; t < config_.num_trees; ++t) {
-    Bootstrap& boot = bootstraps[t];
-    boot.bx.reserve(boot_n);
-    boot.by.reserve(boot_n);
+  const RankedColumns table(x, y);
+  std::vector<std::vector<int>> bootstraps(config_.num_trees);
+  for (std::vector<int>& boot : bootstraps) {
+    boot.reserve(boot_n + 1);
     bool has_positive = false;
     for (int i = 0; i < boot_n; ++i) {
       int r = rng.UniformInt(n);
-      boot.bx.push_back(x[r]);
-      boot.by.push_back(y[r]);
+      boot.push_back(r);
       has_positive |= (y[r] > 0.5);
     }
     // Keep bootstrap label diversity for classification: inject one sample
@@ -57,8 +54,7 @@ void RandomForest::Fit(const Rows& x, const std::vector<double>& y) {
     if (!config_.regression && !has_positive) {
       for (int r = 0; r < n; ++r) {
         if (y[r] > 0.5) {
-          boot.bx.push_back(x[r]);
-          boot.by.push_back(y[r]);
+          boot.push_back(r);
           break;
         }
       }
@@ -78,7 +74,7 @@ void RandomForest::Fit(const Rows& x, const std::vector<double>& y) {
     tc.max_features = per_split;
     tc.seed = DeriveSeed(config_.seed, static_cast<uint64_t>(t) + 1);
     DecisionTree tree(tc);
-    tree.Fit(bootstraps[t].bx, bootstraps[t].by);
+    tree.Fit(table, std::move(bootstraps[t]));
     trees_[t] = std::move(tree);
   };
   const int threads =

@@ -45,6 +45,8 @@ class RandomForest : public Model {
 
   int num_classes() const { return num_classes_; }
 
+  const std::vector<DecisionTree>& trees() const { return trees_; }
+
  private:
   ForestConfig config_;
   int num_classes_ = 0;

@@ -60,6 +60,26 @@ TEST(SerialTest, WriterReaderRoundTrip) {
   EXPECT_EQ(r.remaining(), 0u);
 }
 
+TEST(SerialTest, EmptyPayloadsRoundTrip) {
+  // Zero-length payloads must not hand a possibly-null pointer to memcpy
+  // (UBSan's nonnull-attribute check).
+  BinaryWriter w;
+  w.WriteVecDouble({});
+  w.WriteVecU64({});
+  w.WriteString("");
+  BinaryReader r(w.buffer());
+  EXPECT_TRUE(r.ReadVecDouble().empty());
+  EXPECT_TRUE(r.ReadVecU64().empty());
+  EXPECT_EQ(r.ReadString(), "");
+  EXPECT_TRUE(r.ok());
+  EXPECT_EQ(r.remaining(), 0u);
+
+  BinaryReader empty{std::string_view()};
+  EXPECT_TRUE(empty.ReadRaw(nullptr, 0));
+  EXPECT_TRUE(empty.ok());
+  EXPECT_EQ(empty.remaining(), 0u);
+}
+
 TEST(SerialTest, ReaderRejectsTruncation) {
   BinaryWriter w;
   w.WriteU64(7);
