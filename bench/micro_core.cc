@@ -1,6 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the performance-critical
 // primitives: operation application, MI estimation, clustering, state
-// representation, predictor inference, tree, forest and boosting fits, and —
+// representation, predictor inference and training steps, tree, forest and
+// boosting fits, and —
 // the paper's central contrast — one predictor forward pass vs. one full
 // downstream evaluation.
 //
@@ -13,6 +14,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <sstream>
 #include <string>
@@ -34,6 +36,7 @@
 #include "ml/evaluator.h"
 #include "ml/gradient_boosting.h"
 #include "ml/random_forest.h"
+#include "nn/sequence_model.h"
 
 namespace fastft {
 namespace {
@@ -128,6 +131,38 @@ int KernelGate() {
     simd::MatVec(w.data(), bias.data(), z.data(), small_out.data(), mv_rows,
                  mv_cols);
   }));
+  // The recurrent backward's kernels at one LSTM layer's shapes (4H = 128
+  // gate rows, zdim = 64, a 53-token sequence). OuterAccumulate and
+  // AdamUpdate write their inputs, so each call first restores them; the
+  // restore copy is inside both timings.
+  const int seq_len = 53;
+  std::vector<double> gates = GateVec(seq_len * mv_rows, &rng);
+  std::vector<double> zs = GateVec(seq_len * mv_cols, &rng);
+  const std::vector<double> grad_seed = GateVec(mv_rows * mv_cols, &rng);
+  std::vector<double> grad_out(grad_seed.size());
+  results.push_back(RunKernelGate("vec_mat", false, 4000, &small_out, [&] {
+    simd::VecMat(gates.data(), w.data(), small_out.data(), mv_rows, mv_cols);
+  }));
+  results.push_back(
+      RunKernelGate("outer_accumulate", false, 400, &grad_out, [&] {
+        std::copy(grad_seed.begin(), grad_seed.end(), grad_out.begin());
+        simd::OuterAccumulate(gates.data(), zs.data(), grad_out.data(),
+                              mv_rows, seq_len, mv_cols);
+      }));
+  // Adam state laid out value | grad | m | v, v kept non-negative.
+  std::vector<double> adam_seed = GateVec(4 * vec_n, &rng);
+  for (int i = 3 * vec_n; i < 4 * vec_n; ++i) {
+    adam_seed[i] = std::abs(adam_seed[i]);
+  }
+  std::vector<double> adam_state(adam_seed.size());
+  const simd::AdamScalars adam{1e-3, 0.9, 0.999, 1e-8, 0.1, 0.001};
+  results.push_back(RunKernelGate("adam_update", false, 2000, &adam_state,
+                                  [&] {
+    std::copy(adam_seed.begin(), adam_seed.end(), adam_state.begin());
+    double* st = adam_state.data();
+    simd::AdamUpdate(st, st + vec_n, st + 2 * vec_n, st + 3 * vec_n, vec_n,
+                     adam);
+  }));
   results.push_back(RunKernelGate("axpy", false, 8000, &small_out, [&] {
     std::fill(small_out.begin(), small_out.end(), 0.0);
     simd::Axpy(1.25, x.data(), small_out.data(), vec_n);
@@ -169,7 +204,9 @@ int KernelGate() {
   json << "{\n";
   json << "    \"shapes\": {\"matmul\": [" << m << ", " << kdim << ", " << n
        << "], \"matvec\": [" << mv_rows << ", " << mv_cols
-       << "], \"vector_n\": " << vec_n << "},\n";
+       << "], \"vec_mat\": [" << mv_rows << ", " << mv_cols
+       << "], \"outer_accumulate\": [" << mv_rows << ", " << seq_len << ", "
+       << mv_cols << "], \"vector_n\": " << vec_n << "},\n";
   json << "    \"kernels\": {\n";
   bool first = true;
   for (const KernelResult& r : results) {
@@ -365,6 +402,33 @@ void BM_GradientBoostingFit(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GradientBoostingFit)->Unit(benchmark::kMillisecond);
+
+// One per-sample SGD step of the predictor's sequence model (2×LSTM(32),
+// embedding 32): TrainStep on a sequence of the given length, then
+// ApplyStep (clip + Adam), the pair the engine runs per training sample.
+// Samples cycle through 16 random sequences and targets, as a replay does:
+// one sequence trained over and over soon passes no gradient through the
+// ReLU head on most steps, and would time the all-zero shortcut instead of
+// the backward pass.
+void BM_SequenceModelTrainStep(benchmark::State& state) {
+  nn::SequenceModelConfig config;
+  nn::SequenceModel model(config);
+  Rng rng(8);
+  std::vector<std::vector<int>> samples(16);
+  std::vector<double> targets(samples.size());
+  for (size_t i = 0; i < samples.size(); ++i) {
+    samples[i].resize(state.range(0));
+    for (int& t : samples[i]) t = rng.UniformInt(config.vocab_size);
+    targets[i] = rng.Uniform();
+  }
+  size_t next = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(model.TrainStep(samples[next], targets[next]));
+    model.ApplyStep();
+    next = (next + 1) % samples.size();
+  }
+}
+BENCHMARK(BM_SequenceModelTrainStep)->Arg(16)->Arg(53)->Arg(128);
 
 // The hot matrix product at the gate's shape, through the dispatcher, for
 // profiling runs (the gate above owns the scalar-vs-SIMD comparison).

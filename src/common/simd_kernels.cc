@@ -10,6 +10,7 @@
 #include "common/simd_kernels.h"
 
 #include <atomic>
+#include <cmath>
 #include <cstdlib>
 #include <string>
 
@@ -124,10 +125,57 @@ void MatMulTransposeScalar(const double* a, const double* b, double* out,
   }
 }
 
+}  // namespace
+
+// Scalar references with external linkage: the NEON table reuses them for
+// the kernels that backend does not specialize (simd_kernels_neon.cc), and
+// the AVX2 AdamUpdate for its tail.
+void VecMatScalar(const double* x, const double* w, double* out, int rows,
+                  int cols) {
+  // The row vector x is a (1 × rows) matrix: same per-element chains.
+  MatMulScalar(x, w, out, 1, rows, cols);
+}
+
+void OuterAccumulateScalar(const double* a, const double* b, double* out,
+                           int m, int kdim, int n) {
+  for (int j0 = 0; j0 < n; j0 += kColBlock) {
+    const int jw = n - j0 < kColBlock ? n - j0 : kColBlock;
+    for (int i = 0; i < m; ++i) {
+      double* orow = out + static_cast<size_t>(i) * n + j0;
+      double acc[kColBlock];
+      for (int j = 0; j < jw; ++j) acc[j] = orow[j];
+      for (int t = kdim - 1; t >= 0; --t) {
+        const double av = a[static_cast<size_t>(t) * m + i];
+        const double* brow = b + static_cast<size_t>(t) * n + j0;
+        for (int j = 0; j < jw; ++j) acc[j] += av * brow[j];
+      }
+      for (int j = 0; j < jw; ++j) orow[j] = acc[j];
+    }
+  }
+}
+
+void AdamUpdateScalar(double* value, double* grad, double* m, double* v,
+                      int n, const AdamScalars& s) {
+  const double c1 = 1.0 - s.beta1;
+  const double c2 = 1.0 - s.beta2;
+  for (int i = 0; i < n; ++i) {
+    const double g = grad[i];
+    m[i] = s.beta1 * m[i] + c1 * g;
+    v[i] = s.beta2 * v[i] + c2 * g * g;
+    const double mhat = m[i] / s.bias1;
+    const double vhat = v[i] / s.bias2;
+    value[i] -= s.lr * mhat / (std::sqrt(vhat) + s.eps);
+    grad[i] = 0.0;
+  }
+}
+
+namespace {
+
 constexpr KernelTable kScalarTable = {
-    MatMulScalar,     TransposeMatMulScalar, AxpyScalar,
-    AddScalar,        SubScalar,             DotScalar,
-    SumAndSumSqScalar, MatVecScalar,         MatMulTransposeScalar,
+    MatMulScalar,          TransposeMatMulScalar, VecMatScalar,
+    OuterAccumulateScalar, AxpyScalar,            AddScalar,
+    SubScalar,             AdamUpdateScalar,      DotScalar,
+    SumAndSumSqScalar,     MatVecScalar,          MatMulTransposeScalar,
     "scalar",
 };
 
@@ -141,7 +189,6 @@ const KernelTable* Avx2Kernels();
 #if defined(FASTFT_SIMD_NEON)
 const KernelTable* NeonKernels();
 #endif
-
 namespace {
 
 /// The vector table compiled into this binary, or null. Detection runs once:
@@ -195,6 +242,16 @@ void TransposeMatMul(const double* a, const double* b, double* out, int m,
   Active().transpose_matmul(a, b, out, m, kdim, n, accumulate);
 }
 
+void VecMat(const double* x, const double* w, double* out, int rows,
+            int cols) {
+  Active().vec_mat(x, w, out, rows, cols);
+}
+
+void OuterAccumulate(const double* a, const double* b, double* out, int m,
+                     int kdim, int n) {
+  Active().outer_accumulate(a, b, out, m, kdim, n);
+}
+
 void Axpy(double a, const double* x, double* y, int n) {
   Active().axpy(a, x, y, n);
 }
@@ -203,6 +260,11 @@ void Add(const double* x, double* y, int n) { Active().add(x, y, n); }
 
 void Sub(const double* a, const double* b, double* out, int n) {
   Active().sub(a, b, out, n);
+}
+
+void AdamUpdate(double* value, double* grad, double* m, double* v, int n,
+                const AdamScalars& s) {
+  Active().adam_update(value, grad, m, v, n, s);
 }
 
 double Dot(const double* a, const double* b, int n) {

@@ -10,9 +10,11 @@
 // never changes a single output byte. Two summation-order families make that
 // possible:
 //
-//   A. Element-parallel kernels (MatMul, TransposeMatMul, Axpy, Add, Sub):
-//      vector lanes hold *different output elements*; each element is still
-//      one chain of additions in ascending inner index, exactly the textbook
+//   A. Element-parallel kernels (MatMul, TransposeMatMul, VecMat,
+//      OuterAccumulate, Axpy, Add, Sub, AdamUpdate): vector lanes hold
+//      *different output elements*; each element is still one chain of
+//      additions in a fixed inner-index order (ascending, except
+//      OuterAccumulate's documented descending chain), exactly the textbook
 //      loop. Lane width is irrelevant to the result, so these are bitwise
 //      equal to the naive scalar kernel on any ISA.
 //
@@ -70,6 +72,22 @@ void MatMul(const double* a, const double* b, double* out, int m, int kdim,
 void TransposeMatMul(const double* a, const double* b, double* out, int m,
                      int kdim, int n, bool accumulate);
 
+/// out[j] = Σ_r x[r] · w(r, j), r ascending, each chain starting from 0 —
+/// the row vector x (length rows) times w (rows × cols, row-major), i.e.
+/// wᵀ·x without forming the transpose. out must not alias x or w.
+void VecMat(const double* x, const double* w, double* out, int rows,
+            int cols);
+
+/// out(i, j) += a(t, i) · b(t, j) for t = kdim − 1 down to 0: a sum of kdim
+/// outer products added into out one rounded add at a time, each element's
+/// chain starting from its current value. a is (kdim × m), b is (kdim × n),
+/// out is (m × n), all row-major; out must not alias a or b. This is the
+/// chain that kdim successive `Axpy(a(t, i), b row t, out row i)` sweeps
+/// with t descending build, so a backward pass may defer its per-timestep
+/// weight-gradient sweeps to one call.
+void OuterAccumulate(const double* a, const double* b, double* out, int m,
+                     int kdim, int n);
+
 /// y[i] += a · x[i].
 void Axpy(double a, const double* x, double* y, int n);
 
@@ -78,6 +96,19 @@ void Add(const double* x, double* y, int n);
 
 /// out[i] = a[i] - b[i].
 void Sub(const double* a, const double* b, double* out, int n);
+
+/// Scalars of one Adam step: bias1 = 1 − beta1^t and bias2 = 1 − beta2^t.
+struct AdamScalars {
+  double lr, beta1, beta2, eps, bias1, bias2;
+};
+
+/// One Adam update over n elements, then grad[i] = 0:
+///   m[i] = beta1·m[i] + (1 − beta1)·g;  v[i] = beta2·v[i] + ((1 − beta2)·g)·g
+///   value[i] −= (lr · (m[i] / bias1)) / (sqrt(v[i] / bias2) + eps)
+/// with g = grad[i]. Division and square root are correctly rounded in IEEE
+/// 754, so vector lanes reproduce the scalar expression bit for bit.
+void AdamUpdate(double* value, double* grad, double* m, double* v, int n,
+                const AdamScalars& s);
 
 // --- Family B: lane-split reductions (kLanes logical lanes, ascending
 // lane-order combine) -------------------------------------------------------
@@ -104,9 +135,14 @@ struct KernelTable {
   void (*matmul)(const double*, const double*, double*, int, int, int);
   void (*transpose_matmul)(const double*, const double*, double*, int, int,
                            int, bool);
+  void (*vec_mat)(const double*, const double*, double*, int, int);
+  void (*outer_accumulate)(const double*, const double*, double*, int, int,
+                           int);
   void (*axpy)(double, const double*, double*, int);
   void (*add)(const double*, double*, int);
   void (*sub)(const double*, const double*, double*, int);
+  void (*adam_update)(double*, double*, double*, double*, int,
+                      const AdamScalars&);
   double (*dot)(const double*, const double*, int);
   void (*sum_and_sumsq)(const double*, int, double*, double*);
   void (*matvec)(const double*, const double*, const double*, double*, int,

@@ -19,6 +19,11 @@
 
 namespace fastft {
 namespace simd {
+
+// The scalar reference (simd_kernels.cc) finishes AdamUpdate's tail.
+void AdamUpdateScalar(double* value, double* grad, double* m, double* v,
+                      int n, const AdamScalars& s);
+
 namespace {
 
 void MatMulAvx2(const double* a, const double* b, double* out, int m,
@@ -130,6 +135,96 @@ void TransposeMatMulAvx2(const double* a, const double* b, double* out, int m,
   }
 }
 
+void VecMatAvx2(const double* x, const double* w, double* out, int rows,
+                int cols) {
+  int j0 = 0;
+  // 32 columns at a time: eight independent accumulators hide the add
+  // latency of the per-row chains, and each x[r] is broadcast once.
+  for (; j0 + 32 <= cols; j0 += 32) {
+    __m256d acc[8];
+    for (__m256d& a : acc) a = _mm256_setzero_pd();
+    for (int r = 0; r < rows; ++r) {
+      const __m256d xv = _mm256_set1_pd(x[r]);
+      const double* wrow = w + static_cast<size_t>(r) * cols + j0;
+      for (int q = 0; q < 8; ++q) {
+        acc[q] = _mm256_add_pd(
+            acc[q], _mm256_mul_pd(xv, _mm256_loadu_pd(wrow + 4 * q)));
+      }
+    }
+    for (int q = 0; q < 8; ++q) _mm256_storeu_pd(out + j0 + 4 * q, acc[q]);
+  }
+  for (; j0 + 4 <= cols; j0 += 4) {
+    __m256d acc = _mm256_setzero_pd();
+    for (int r = 0; r < rows; ++r) {
+      acc = _mm256_add_pd(
+          acc, _mm256_mul_pd(_mm256_set1_pd(x[r]),
+                             _mm256_loadu_pd(w + static_cast<size_t>(r) * cols +
+                                             j0)));
+    }
+    _mm256_storeu_pd(out + j0, acc);
+  }
+  if (j0 < cols) {
+    const int jw = cols - j0;  // 1..3 trailing columns
+    double acc[3] = {0.0, 0.0, 0.0};
+    for (int r = 0; r < rows; ++r) {
+      const double* wrow = w + static_cast<size_t>(r) * cols + j0;
+      for (int j = 0; j < jw; ++j) acc[j] += x[r] * wrow[j];
+    }
+    for (int j = 0; j < jw; ++j) out[j0 + j] = acc[j];
+  }
+}
+
+/// OuterAccumulate's per-element chain for out rows [i0, i1) × columns
+/// [j0, j1): the remainder blocks of the register-blocked main loop.
+void OuterAccumulateTail(const double* a, const double* b, double* out, int m,
+                         int kdim, int n, int i0, int i1, int j0, int j1) {
+  for (int i = i0; i < i1; ++i) {
+    for (int j = j0; j < j1; ++j) {
+      double acc = out[static_cast<size_t>(i) * n + j];
+      for (int t = kdim - 1; t >= 0; --t) {
+        acc += a[static_cast<size_t>(t) * m + i] *
+               b[static_cast<size_t>(t) * n + j];
+      }
+      out[static_cast<size_t>(i) * n + j] = acc;
+    }
+  }
+}
+
+void OuterAccumulateAvx2(const double* a, const double* b, double* out, int m,
+                         int kdim, int n) {
+  const int m4 = m & ~3;
+  const int n8 = n & ~7;
+  // 4 rows × 8 columns of out live in eight accumulators for the whole
+  // t sweep, so out is loaded and stored once instead of once per t.
+  for (int i0 = 0; i0 < m4; i0 += 4) {
+    for (int j0 = 0; j0 < n8; j0 += 8) {
+      double* orow = out + static_cast<size_t>(i0) * n + j0;
+      __m256d lo[4], hi[4];
+      for (int r = 0; r < 4; ++r) {
+        lo[r] = _mm256_loadu_pd(orow + static_cast<size_t>(r) * n);
+        hi[r] = _mm256_loadu_pd(orow + static_cast<size_t>(r) * n + 4);
+      }
+      for (int t = kdim - 1; t >= 0; --t) {
+        const double* brow = b + static_cast<size_t>(t) * n + j0;
+        const double* arow = a + static_cast<size_t>(t) * m + i0;
+        const __m256d b0 = _mm256_loadu_pd(brow);
+        const __m256d b1 = _mm256_loadu_pd(brow + 4);
+        for (int r = 0; r < 4; ++r) {
+          const __m256d av = _mm256_set1_pd(arow[r]);
+          lo[r] = _mm256_add_pd(lo[r], _mm256_mul_pd(av, b0));
+          hi[r] = _mm256_add_pd(hi[r], _mm256_mul_pd(av, b1));
+        }
+      }
+      for (int r = 0; r < 4; ++r) {
+        _mm256_storeu_pd(orow + static_cast<size_t>(r) * n, lo[r]);
+        _mm256_storeu_pd(orow + static_cast<size_t>(r) * n + 4, hi[r]);
+      }
+    }
+  }
+  OuterAccumulateTail(a, b, out, m, kdim, n, 0, m4, n8, n);
+  OuterAccumulateTail(a, b, out, m, kdim, n, m4, m, 0, n);
+}
+
 void AxpyAvx2(double a, const double* x, double* y, int n) {
   const __m256d av = _mm256_set1_pd(a);
   const int n4 = n & ~3;
@@ -157,6 +252,38 @@ void SubAvx2(const double* a, const double* b, double* out, int n) {
         _mm256_sub_pd(_mm256_loadu_pd(a + i), _mm256_loadu_pd(b + i)));
   }
   for (int i = n4; i < n; ++i) out[i] = a[i] - b[i];
+}
+
+void AdamUpdateAvx2(double* value, double* grad, double* m, double* v, int n,
+                    const AdamScalars& s) {
+  const __m256d beta1 = _mm256_set1_pd(s.beta1);
+  const __m256d beta2 = _mm256_set1_pd(s.beta2);
+  const __m256d c1v = _mm256_set1_pd(1.0 - s.beta1);
+  const __m256d c2v = _mm256_set1_pd(1.0 - s.beta2);
+  const __m256d bias1 = _mm256_set1_pd(s.bias1);
+  const __m256d bias2 = _mm256_set1_pd(s.bias2);
+  const __m256d lr = _mm256_set1_pd(s.lr);
+  const __m256d eps = _mm256_set1_pd(s.eps);
+  const int n4 = n & ~3;
+  for (int i = 0; i < n4; i += 4) {
+    const __m256d g = _mm256_loadu_pd(grad + i);
+    const __m256d mv = _mm256_add_pd(
+        _mm256_mul_pd(beta1, _mm256_loadu_pd(m + i)), _mm256_mul_pd(c1v, g));
+    const __m256d vv =
+        _mm256_add_pd(_mm256_mul_pd(beta2, _mm256_loadu_pd(v + i)),
+                      _mm256_mul_pd(_mm256_mul_pd(c2v, g), g));
+    _mm256_storeu_pd(m + i, mv);
+    _mm256_storeu_pd(v + i, vv);
+    const __m256d mhat = _mm256_div_pd(mv, bias1);
+    const __m256d vhat = _mm256_div_pd(vv, bias2);
+    const __m256d step =
+        _mm256_div_pd(_mm256_mul_pd(lr, mhat),
+                      _mm256_add_pd(_mm256_sqrt_pd(vhat), eps));
+    _mm256_storeu_pd(value + i,
+                     _mm256_sub_pd(_mm256_loadu_pd(value + i), step));
+    _mm256_storeu_pd(grad + i, _mm256_setzero_pd());
+  }
+  AdamUpdateScalar(value + n4, grad + n4, m + n4, v + n4, n - n4, s);
 }
 
 /// Ascending lane-order combine of one __m256d accumulator plus the scalar
@@ -281,9 +408,10 @@ void MatMulTransposeAvx2(const double* a, const double* b, double* out, int m,
 }
 
 constexpr KernelTable kAvx2Table = {
-    MatMulAvx2,      TransposeMatMulAvx2, AxpyAvx2,
-    AddAvx2,         SubAvx2,             DotAvx2,
-    SumAndSumSqAvx2, MatVecAvx2,          MatMulTransposeAvx2,
+    MatMulAvx2,          TransposeMatMulAvx2, VecMatAvx2,
+    OuterAccumulateAvx2, AxpyAvx2,            AddAvx2,
+    SubAvx2,             AdamUpdateAvx2,      DotAvx2,
+    SumAndSumSqAvx2,     MatVecAvx2,          MatMulTransposeAvx2,
     "avx2",
 };
 

@@ -5,6 +5,9 @@
 //
 // vmulq_f64 + vaddq_f64 only: FMLA (vfmaq_f64) fuses the rounding step and
 // would drift from the scalar reference built with -ffp-contract=off.
+//
+// VecMat, OuterAccumulate and AdamUpdate have no NEON specialization: the
+// table points at the scalar references in simd_kernels.cc.
 
 #include "common/simd_kernels.h"
 
@@ -14,6 +17,14 @@
 
 namespace fastft {
 namespace simd {
+
+void VecMatScalar(const double* x, const double* w, double* out, int rows,
+                  int cols);
+void OuterAccumulateScalar(const double* a, const double* b, double* out,
+                           int m, int kdim, int n);
+void AdamUpdateScalar(double* value, double* grad, double* m, double* v,
+                      int n, const AdamScalars& s);
+
 namespace {
 
 void MatMulNeon(const double* a, const double* b, double* out, int m,
@@ -190,9 +201,10 @@ void MatMulTransposeNeon(const double* a, const double* b, double* out, int m,
 }
 
 constexpr KernelTable kNeonTable = {
-    MatMulNeon,      TransposeMatMulNeon, AxpyNeon,
-    AddNeon,         SubNeon,             DotNeon,
-    SumAndSumSqNeon, MatVecNeon,          MatMulTransposeNeon,
+    MatMulNeon,            TransposeMatMulNeon, VecMatScalar,
+    OuterAccumulateScalar, AxpyNeon,            AddNeon,
+    SubNeon,               AdamUpdateScalar,    DotNeon,
+    SumAndSumSqNeon,       MatVecNeon,          MatMulTransposeNeon,
     "neon",
 };
 

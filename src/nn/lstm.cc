@@ -1,10 +1,12 @@
 #include "nn/lstm.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/logging.h"
 #include "common/simd_kernels.h"
 #include "nn/init.h"
+#include "nn/recurrent.h"
 
 namespace fastft {
 namespace nn {
@@ -28,39 +30,37 @@ Matrix LstmLayer::Forward(const Matrix& x) {
   const int len = x.rows();
   const int h = hidden_dim_;
   const int zdim = h + input_dim_;
-  cache_.assign(len, StepCache{});
+  len_ = len;
+  cache_.resize(ActivationBytes(len) / sizeof(double));
+  const CacheView cache = View(len);
+  std::fill_n(cache.c, h, 0.0);
   Matrix hidden(len, h);
 
-  std::vector<double> h_prev(h, 0.0), c_prev(h, 0.0);
-  std::vector<double> pre(4 * h);
   for (int t = 0; t < len; ++t) {
-    StepCache& sc = cache_[t];
-    sc.z.resize(zdim);
-    for (int j = 0; j < h; ++j) sc.z[j] = h_prev[j];
-    for (int j = 0; j < input_dim_; ++j) sc.z[h + j] = x(t, j);
-    sc.c_prev = c_prev;
-
-    sc.i.resize(h);
-    sc.f.resize(h);
-    sc.g.resize(h);
-    sc.o.resize(h);
-    sc.c.resize(h);
-    sc.tanh_c.resize(h);
+    double* z = cache.z + static_cast<size_t>(t) * zdim;
+    for (int j = 0; j < h; ++j) z[j] = t > 0 ? hidden(t - 1, j) : 0.0;
+    for (int j = 0; j < input_dim_; ++j) z[h + j] = x(t, j);
     // All four gate pre-activations in one (4h × zdim) · z matvec: W is laid
-    // out [i; f; g; o] row blocks and b_ is a contiguous column.
-    simd::MatVec(w_.value.data(), b_.value.data(), sc.z.data(), pre.data(),
-                 4 * h, zdim);
+    // out [i; f; g; o] row blocks and b_ is a contiguous column. The
+    // activations then replace the pre-activations in place.
+    double* gate = cache.gates + static_cast<size_t>(t) * 4 * h;
+    simd::MatVec(w_.value.data(), b_.value.data(), z, gate, 4 * h, zdim);
+    const double* c_prev = cache.c + static_cast<size_t>(t) * h;
+    double* c = cache.c + static_cast<size_t>(t + 1) * h;
+    double* tanh_c = cache.tanh_c + static_cast<size_t>(t) * h;
     for (int j = 0; j < h; ++j) {
-      sc.i[j] = Sigmoid(pre[j]);
-      sc.f[j] = Sigmoid(pre[h + j]);
-      sc.g[j] = std::tanh(pre[2 * h + j]);
-      sc.o[j] = Sigmoid(pre[3 * h + j]);
-      sc.c[j] = sc.f[j] * c_prev[j] + sc.i[j] * sc.g[j];
-      sc.tanh_c[j] = std::tanh(sc.c[j]);
-      hidden(t, j) = sc.o[j] * sc.tanh_c[j];
-      h_prev[j] = hidden(t, j);
+      const double gi = Sigmoid(gate[j]);
+      const double gf = Sigmoid(gate[h + j]);
+      const double gg = std::tanh(gate[2 * h + j]);
+      const double go = Sigmoid(gate[3 * h + j]);
+      gate[j] = gi;
+      gate[h + j] = gf;
+      gate[2 * h + j] = gg;
+      gate[3 * h + j] = go;
+      c[j] = gf * c_prev[j] + gi * gg;
+      tanh_c[j] = std::tanh(c[j]);
+      hidden(t, j) = go * tanh_c[j];
     }
-    c_prev = sc.c;
   }
   return hidden;
 }
@@ -98,48 +98,63 @@ Matrix LstmLayer::ForwardInfer(const Matrix& x, std::vector<double>* h_state,
 }
 
 Matrix LstmLayer::Backward(const Matrix& dh_all) {
-  const int len = static_cast<int>(cache_.size());
+  const int len = len_;
   FASTFT_CHECK_EQ(dh_all.rows(), len);
   const int h = hidden_dim_;
   const int zdim = h + input_dim_;
   Matrix dx(len, input_dim_);
+  const CacheView cache = View(len);
 
-  std::vector<double> dh_next(h, 0.0), dc_next(h, 0.0);
-  std::vector<double> dgates(4 * h);
+  // dz = Wᵀ·dgates of the step after t; its first h entries are the
+  // gradient reaching h_t through the recurrence.
+  std::vector<double> dz(zdim, 0.0), dc_next(h, 0.0);
+  int first = len, last = -1;  // span of timesteps with nonzero dgates
   for (int t = len - 1; t >= 0; --t) {
-    const StepCache& sc = cache_[t];
+    double* gate = cache.gates + static_cast<size_t>(t) * 4 * h;
+    const double* c_prev = cache.c + static_cast<size_t>(t) * h;
+    const double* tanh_c = cache.tanh_c + static_cast<size_t>(t) * h;
     for (int j = 0; j < h; ++j) {
-      double dh = dh_all(t, j) + dh_next[j];
-      double d_o = dh * sc.tanh_c[j];
-      double dc = dh * sc.o[j] * (1.0 - sc.tanh_c[j] * sc.tanh_c[j]) +
-                  dc_next[j];
-      double d_i = dc * sc.g[j];
-      double d_g = dc * sc.i[j];
-      double d_f = dc * sc.c_prev[j];
-      dc_next[j] = dc * sc.f[j];
-      // Pre-activation gradients.
-      dgates[j] = d_i * sc.i[j] * (1.0 - sc.i[j]);
-      dgates[h + j] = d_f * sc.f[j] * (1.0 - sc.f[j]);
-      dgates[2 * h + j] = d_g * (1.0 - sc.g[j] * sc.g[j]);
-      dgates[3 * h + j] = d_o * sc.o[j] * (1.0 - sc.o[j]);
+      const double gi = gate[j];
+      const double gf = gate[h + j];
+      const double gg = gate[2 * h + j];
+      const double go = gate[3 * h + j];
+      double dh = dh_all(t, j) + dz[j];
+      double d_o = dh * tanh_c[j];
+      double dc = dh * go * (1.0 - tanh_c[j] * tanh_c[j]) + dc_next[j];
+      double d_i = dc * gg;
+      double d_g = dc * gi;
+      double d_f = dc * c_prev[j];
+      dc_next[j] = dc * gf;
+      // Pre-activation gradients replace the activations.
+      gate[j] = d_i * gi * (1.0 - gi);
+      gate[h + j] = d_f * gf * (1.0 - gf);
+      gate[2 * h + j] = d_g * (1.0 - gg * gg);
+      gate[3 * h + j] = d_o * go * (1.0 - go);
     }
-    // Parameter grads: dW += dgates ⊗ z; db += dgates. Input grads via W^T.
-    // The dg == 0 skip is a pure speedup for saturated gates: += 0 · z[k]
-    // cannot change any finite accumulator.
-    std::vector<double> dz(zdim, 0.0);
-    for (int r = 0; r < 4 * h; ++r) {
-      double dg = dgates[r];
-      if (dg == 0.0) continue;
-      b_.grad(r, 0) += dg;
-      simd::Axpy(dg, sc.z.data(),
-                 w_.grad.data() + static_cast<size_t>(r) * zdim, zdim);
-      simd::Axpy(dg, w_.value.data() + static_cast<size_t>(r) * zdim,
-                 dz.data(), zdim);
+    if (BackpropTimestep(gate, w_.value, dz.data())) {
+      first = t;
+      if (last < 0) last = t;
     }
-    for (int j = 0; j < h; ++j) dh_next[j] = dz[j];
     for (int j = 0; j < input_dim_; ++j) dx(t, j) = dz[h + j];
   }
+  // dW += Σ_t dgates_t ⊗ z_t and db += Σ_t dgates_t, deferred to one pass.
+  AccumulateRecurrentGrads(cache.gates, cache.z, first, last, &w_, &b_);
+  // The cache is consumed: release it rather than hold the longest
+  // sequence's buffer between training steps.
+  len_ = 0;
+  cache_ = std::vector<double>();
   return dx;
+}
+
+LstmLayer::CacheView LstmLayer::View(int len) {
+  const size_t t = static_cast<size_t>(len);
+  const size_t h = static_cast<size_t>(hidden_dim_);
+  CacheView view;
+  view.z = cache_.data();
+  view.gates = view.z + t * (h + static_cast<size_t>(input_dim_));
+  view.c = view.gates + t * 4 * h;
+  view.tanh_c = view.c + (t + 1) * h;
+  return view;
 }
 
 void LstmLayer::CollectParams(std::vector<Parameter*>* params) {
@@ -152,10 +167,11 @@ size_t LstmLayer::ParameterBytes() const {
 }
 
 size_t LstmLayer::ActivationBytes(int len) const {
-  // z, i, f, g, o, c, tanh_c, c_prev per timestep.
-  size_t per_step = static_cast<size_t>(hidden_dim_ + input_dim_) +
-                    7u * static_cast<size_t>(hidden_dim_);
-  return per_step * static_cast<size_t>(len) * sizeof(double);
+  // The cache: per timestep z (H+D), the four gates (4H), c and tanh(c)
+  // (2H); plus the zero initial cell row.
+  const size_t h = static_cast<size_t>(hidden_dim_);
+  const size_t per_step = static_cast<size_t>(input_dim_) + 7u * h;
+  return (per_step * static_cast<size_t>(len) + h) * sizeof(double);
 }
 
 }  // namespace nn

@@ -1,7 +1,16 @@
 // Single LSTM layer with full backpropagation-through-time.
 //
 // Weight layout: W is (4H × (H+D)) with gate blocks ordered [i, f, g, o];
-// b is (4H × 1). Forward caches per-timestep activations for Backward.
+// b is (4H × 1). Forward caches per-timestep activations for Backward in
+// one allocation holding four row-major blocks (row t is timestep t),
+// which Backward consumes and releases:
+//   z       (len × (H+D))  [h_{t-1}; x_t], the input of the gate matvec
+//   gates   (len × 4H)     gate activations [i, f, g, o]; Backward
+//                          overwrites row t with the pre-activation
+//                          gradients, which the deferred weight-gradient
+//                          pass then reads
+//   c       ((len+1) × H)  cell states, row 0 = c_{-1} = 0, row t+1 = c_t
+//   tanh_c  (len × H)      tanh(c_t)
 
 #pragma once
 
@@ -32,7 +41,9 @@ class LstmLayer {
                       std::vector<double>* c) const;
 
   /// dh: gradient wrt every hidden state (len × hidden_dim). Accumulates
-  /// parameter grads; returns dx (len × input_dim).
+  /// parameter grads; returns dx (len × input_dim). Consumes the cache of
+  /// the last Forward (the gate activations become their gradients), so
+  /// each Backward needs its own Forward.
   Matrix Backward(const Matrix& dh);
 
   void CollectParams(std::vector<Parameter*>* params);
@@ -46,18 +57,21 @@ class LstmLayer {
   size_t ActivationBytes(int len) const;
 
  private:
-  struct StepCache {
-    std::vector<double> z;       // [h_{t-1}; x_t], size H+D
-    std::vector<double> i, f, g, o;
-    std::vector<double> c, tanh_c;
-    std::vector<double> c_prev;
-  };
-
   int input_dim_ = 0;
   int hidden_dim_ = 0;
   Parameter w_;  // (4H × (H+D))
   Parameter b_;  // (4H × 1)
-  std::vector<StepCache> cache_;
+  /// The blocks of cache_ for a sequence of length len (layout above).
+  struct CacheView {
+    double* z;
+    double* gates;
+    double* c;
+    double* tanh_c;
+  };
+  CacheView View(int len);
+
+  int len_ = 0;  // timesteps cached by the last Forward, 0 once consumed
+  std::vector<double> cache_;
 };
 
 }  // namespace nn

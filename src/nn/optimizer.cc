@@ -2,19 +2,24 @@
 
 #include <cmath>
 
+#include "common/simd_kernels.h"
+
 namespace fastft {
 namespace nn {
 
-void ClipGradNorm(const std::vector<Parameter*>& params, double max_norm) {
+double ClipGradNorm(const std::vector<Parameter*>& params, double max_norm) {
   double total = 0.0;
   for (Parameter* p : params) {
     double n = p->grad.Norm();
     total += n * n;
   }
   total = std::sqrt(total);
-  if (total <= max_norm || total <= 1e-12) return;
+  if (!std::isfinite(total) || total <= max_norm || total <= 1e-12) {
+    return total;
+  }
   double factor = max_norm / total;
   for (Parameter* p : params) p->grad.ScaleInPlace(factor);
+  return total;
 }
 
 void ZeroGrads(const std::vector<Parameter*>& params) {
@@ -38,22 +43,17 @@ AdamOptimizer::AdamOptimizer(std::vector<Parameter*> params, double lr,
 
 void AdamOptimizer::Step() {
   ++t_;
-  const double bias1 = 1.0 - std::pow(beta1_, static_cast<double>(t_));
-  const double bias2 = 1.0 - std::pow(beta2_, static_cast<double>(t_));
+  const simd::AdamScalars scalars{
+      lr_,
+      beta1_,
+      beta2_,
+      eps_,
+      1.0 - std::pow(beta1_, static_cast<double>(t_)),
+      1.0 - std::pow(beta2_, static_cast<double>(t_))};
   for (size_t i = 0; i < params_.size(); ++i) {
     Parameter* p = params_[i];
-    double* value = p->value.data();
-    double* grad = p->grad.data();
-    std::vector<double>& m = m_[i];
-    std::vector<double>& v = v_[i];
-    for (size_t j = 0; j < p->size(); ++j) {
-      m[j] = beta1_ * m[j] + (1.0 - beta1_) * grad[j];
-      v[j] = beta2_ * v[j] + (1.0 - beta2_) * grad[j] * grad[j];
-      double mhat = m[j] / bias1;
-      double vhat = v[j] / bias2;
-      value[j] -= lr_ * mhat / (std::sqrt(vhat) + eps_);
-      grad[j] = 0.0;
-    }
+    simd::AdamUpdate(p->value.data(), p->grad.data(), m_[i].data(),
+                     v_[i].data(), static_cast<int>(p->size()), scalars);
   }
 }
 

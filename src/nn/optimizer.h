@@ -12,8 +12,12 @@
 namespace fastft {
 namespace nn {
 
-/// Scales all gradients so their global L2 norm is at most `max_norm`.
-void ClipGradNorm(const std::vector<Parameter*>& params, double max_norm);
+/// Scales all gradients so their global L2 norm is at most `max_norm`, and
+/// returns the norm before scaling. A non-finite norm leaves the gradients
+/// untouched: scaling by max_norm / NaN would write NaN into every one of
+/// them. What to do with such gradients is the caller's decision
+/// (SequenceModel::ApplyStep drops the step).
+double ClipGradNorm(const std::vector<Parameter*>& params, double max_norm);
 
 /// Zeroes the gradients of all parameters.
 void ZeroGrads(const std::vector<Parameter*>& params);

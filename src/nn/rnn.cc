@@ -5,6 +5,7 @@
 #include "common/logging.h"
 #include "common/simd_kernels.h"
 #include "nn/init.h"
+#include "nn/recurrent.h"
 
 namespace fastft {
 namespace nn {
@@ -20,23 +21,22 @@ Matrix RnnLayer::Forward(const Matrix& x) {
   const int len = x.rows();
   const int h = hidden_dim_;
   const int zdim = h + input_dim_;
-  z_cache_.assign(len, {});
-  h_cache_ = Matrix(len, h);
+  len_ = len;
+  cache_.resize(ActivationBytes(len) / sizeof(double));
+  Matrix hidden(len, h);
 
-  std::vector<double> h_prev(h, 0.0), pre(h);
   for (int t = 0; t < len; ++t) {
-    std::vector<double>& z = z_cache_[t];
-    z.resize(zdim);
-    for (int j = 0; j < h; ++j) z[j] = h_prev[j];
+    double* z = CacheZ() + static_cast<size_t>(t) * zdim;
+    for (int j = 0; j < h; ++j) z[j] = t > 0 ? hidden(t - 1, j) : 0.0;
     for (int j = 0; j < input_dim_; ++j) z[h + j] = x(t, j);
-    simd::MatVec(w_.value.data(), b_.value.data(), z.data(), pre.data(), h,
-                 zdim);
+    double* act = CacheAct() + static_cast<size_t>(t) * h;
+    simd::MatVec(w_.value.data(), b_.value.data(), z, act, h, zdim);
     for (int j = 0; j < h; ++j) {
-      h_cache_(t, j) = std::tanh(pre[j]);
-      h_prev[j] = h_cache_(t, j);
+      act[j] = std::tanh(act[j]);
+      hidden(t, j) = act[j];
     }
   }
-  return h_cache_;
+  return hidden;
 }
 
 Matrix RnnLayer::ForwardInfer(const Matrix& x,
@@ -64,29 +64,31 @@ Matrix RnnLayer::ForwardInfer(const Matrix& x,
 }
 
 Matrix RnnLayer::Backward(const Matrix& dh_all) {
-  const int len = static_cast<int>(z_cache_.size());
+  const int len = len_;
   FASTFT_CHECK_EQ(dh_all.rows(), len);
   const int h = hidden_dim_;
   const int zdim = h + input_dim_;
   Matrix dx(len, input_dim_);
 
-  std::vector<double> dh_next(h, 0.0);
+  // dz = Wᵀ·dpre of the step after t; its first h entries are the gradient
+  // reaching h_t through the recurrence.
+  std::vector<double> dz(zdim, 0.0);
+  int first = len, last = -1;  // span of timesteps with nonzero dpre
   for (int t = len - 1; t >= 0; --t) {
-    const std::vector<double>& z = z_cache_[t];
-    std::vector<double> dz(zdim, 0.0);
+    double* dpre = CacheAct() + static_cast<size_t>(t) * h;
     for (int j = 0; j < h; ++j) {
-      double dh = dh_all(t, j) + dh_next[j];
-      double dpre = dh * (1.0 - h_cache_(t, j) * h_cache_(t, j));
-      if (dpre == 0.0) continue;
-      b_.grad(j, 0) += dpre;
-      simd::Axpy(dpre, z.data(),
-                 w_.grad.data() + static_cast<size_t>(j) * zdim, zdim);
-      simd::Axpy(dpre, w_.value.data() + static_cast<size_t>(j) * zdim,
-                 dz.data(), zdim);
+      double dh = dh_all(t, j) + dz[j];
+      dpre[j] = dh * (1.0 - dpre[j] * dpre[j]);
     }
-    for (int j = 0; j < h; ++j) dh_next[j] = dz[j];
+    if (BackpropTimestep(dpre, w_.value, dz.data())) {
+      first = t;
+      if (last < 0) last = t;
+    }
     for (int j = 0; j < input_dim_; ++j) dx(t, j) = dz[h + j];
   }
+  AccumulateRecurrentGrads(CacheAct(), CacheZ(), first, last, &w_, &b_);
+  len_ = 0;
+  cache_ = std::vector<double>();
   return dx;
 }
 

@@ -23,7 +23,9 @@ class RnnLayer {
   /// hidden_dim; zeros = t0), updated in place. Bit-identical per timestep
   /// to Forward; writes no backward caches, safe to call concurrently.
   Matrix ForwardInfer(const Matrix& x, std::vector<double>* h) const;
-  /// Accumulates grads, returns dx.
+  /// Accumulates grads, returns dx. Consumes the cache of the last Forward
+  /// (the hidden states become the pre-activation gradients), so each
+  /// Backward needs its own Forward.
   Matrix Backward(const Matrix& dh);
 
   void CollectParams(std::vector<Parameter*>* params);
@@ -38,8 +40,17 @@ class RnnLayer {
   int hidden_dim_ = 0;
   Parameter w_;  // (H × (H+D))
   Parameter b_;  // (H × 1)
-  std::vector<std::vector<double>> z_cache_;  // [h_{t-1}; x_t]
-  Matrix h_cache_;
+  // The last Forward's cache in one allocation, row t = timestep t (as in
+  // LstmLayer): z (len × (H+D)) [h_{t-1}; x_t], then act (len × H) h_t,
+  // which Backward overwrites with the pre-activation gradients.
+  double* CacheZ() { return cache_.data(); }
+  double* CacheAct() {
+    return cache_.data() +
+           static_cast<size_t>(len_) * (hidden_dim_ + input_dim_);
+  }
+
+  int len_ = 0;  // timesteps cached by the last Forward, 0 once consumed
+  std::vector<double> cache_;
 };
 
 }  // namespace nn

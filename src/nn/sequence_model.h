@@ -84,11 +84,15 @@ class SequenceModel {
   /// squared error so callers can quarantine the diverged model.
   double TrainStep(const std::vector<int>& tokens, double target);
 
-  /// Number of TrainStep calls skipped because of a non-finite loss.
+  /// Number of TrainStep calls skipped because of a non-finite loss, plus
+  /// ApplyStep calls skipped because of a non-finite gradient norm.
   int64_t non_finite_skips() const { return non_finite_skips_; }
 
   /// Gradient step helper: clip + Adam step over this model's params.
   /// Weights change, so the prefix-state cache is invalidated.
+  /// Guard: when the global gradient norm is non-finite the step is
+  /// dropped — weights and Adam moments stay as they were, the gradients
+  /// are zeroed, and non_finite_skips() is incremented.
   void ApplyStep();
 
   std::vector<Parameter*> Params();

@@ -181,6 +181,112 @@ TEST(SimdKernelsTest, MatVecAndMatMulTransposeBitIdenticalToScalar) {
   }
 }
 
+// Shapes for the kernels with their own register blocking: VecMat blocks
+// 32 columns, OuterAccumulate 4 rows × 8 columns. Each shape misses at
+// least one block size (or is an exact multiple, to cover the main loop
+// alone).
+const Shape kBlockedShapes[] = {{1, 1, 1},    {3, 5, 7},    {4, 1, 8},
+                                {5, 2, 9},    {7, 3, 31},   {8, 4, 32},
+                                {12, 5, 33},  {13, 7, 45},  {128, 53, 64},
+                                {37, 11, 71}, {32, 128, 64}};
+
+TEST(SimdKernelsTest, VecMatBitIdenticalToScalarAndSpec) {
+  SimdToggleGuard guard;
+  Rng rng(107);
+  for (const Shape& s : kBlockedShapes) {
+    // x (rows = s.m) times w (s.m × s.n).
+    std::vector<double> x = RandomVec(s.m, &rng);
+    std::vector<double> w = RandomVec(s.m * s.n, &rng);
+    x[0] = 0.0;  // a zero row contributes ±0 terms, never skipped
+    std::vector<double> vec_out(s.n), scalar_out(s.n);
+    simd::SetEnabled(true);
+    simd::VecMat(x.data(), w.data(), vec_out.data(), s.m, s.n);
+    simd::SetEnabled(false);
+    simd::VecMat(x.data(), w.data(), scalar_out.data(), s.m, s.n);
+    for (int j = 0; j < s.n; ++j) {
+      double spec = 0.0;
+      for (int r = 0; r < s.m; ++r) spec += x[r] * w[r * s.n + j];
+      ASSERT_EQ(scalar_out[j], spec) << s.m << "x" << s.n << " column " << j;
+      ASSERT_EQ(vec_out[j], scalar_out[j])
+          << s.m << "x" << s.n << " column " << j;
+    }
+  }
+}
+
+TEST(SimdKernelsTest, OuterAccumulateBitIdenticalToScalarAndSpec) {
+  SimdToggleGuard guard;
+  Rng rng(108);
+  for (const Shape& s : kBlockedShapes) {
+    // a (kdim × m), b (kdim × n) into out (m × n).
+    std::vector<double> a = RandomVec(s.k * s.m, &rng);
+    std::vector<double> b = RandomVec(s.k * s.n, &rng);
+    a[0] = 0.0;
+    std::vector<double> seed = RandomVec(s.m * s.n, &rng);
+    std::vector<double> vec_out = seed, scalar_out = seed;
+    simd::SetEnabled(true);
+    simd::OuterAccumulate(a.data(), b.data(), vec_out.data(), s.m, s.k, s.n);
+    simd::SetEnabled(false);
+    simd::OuterAccumulate(a.data(), b.data(), scalar_out.data(), s.m, s.k,
+                          s.n);
+    for (int i = 0; i < s.m; ++i) {
+      for (int j = 0; j < s.n; ++j) {
+        // The spec: per-timestep Axpy sweeps, t descending, into out.
+        double spec = seed[i * s.n + j];
+        for (int t = s.k - 1; t >= 0; --t) {
+          spec += a[t * s.m + i] * b[t * s.n + j];
+        }
+        const int e = i * s.n + j;
+        ASSERT_EQ(scalar_out[e], spec)
+            << s.m << "x" << s.k << "x" << s.n << " element " << e;
+        ASSERT_EQ(vec_out[e], scalar_out[e])
+            << s.m << "x" << s.k << "x" << s.n << " element " << e;
+      }
+    }
+  }
+}
+
+TEST(SimdKernelsTest, AdamUpdateBitIdenticalToScalarAndSpec) {
+  SimdToggleGuard guard;
+  Rng rng(109);
+  const simd::AdamScalars scalars{1e-3, 0.9, 0.999, 1e-8, 1.0 - 0.9 * 0.9,
+                                  1.0 - 0.999 * 0.999};
+  for (int n : {1, 2, 3, 4, 5, 7, 8, 9, 31, 64, 67}) {
+    std::vector<double> value = RandomVec(n, &rng);
+    std::vector<double> grad = RandomVec(n, &rng);
+    std::vector<double> m = RandomVec(n, &rng);
+    std::vector<double> v = RandomVec(n, &rng);
+    grad[0] = 0.0;
+    for (double& x : v) x = std::abs(x);
+    struct State {
+      std::vector<double> value, grad, m, v;
+    };
+    State vec{value, grad, m, v}, scalar{value, grad, m, v};
+    simd::SetEnabled(true);
+    simd::AdamUpdate(vec.value.data(), vec.grad.data(), vec.m.data(),
+                     vec.v.data(), n, scalars);
+    simd::SetEnabled(false);
+    simd::AdamUpdate(scalar.value.data(), scalar.grad.data(),
+                     scalar.m.data(), scalar.v.data(), n, scalars);
+    for (int i = 0; i < n; ++i) {
+      // The spec: the optimizer's per-element expression.
+      const double g = grad[i];
+      const double sm = 0.9 * m[i] + (1.0 - 0.9) * g;
+      const double sv = 0.999 * v[i] + (1.0 - 0.999) * g * g;
+      const double sval = value[i] - scalars.lr * (sm / scalars.bias1) /
+                                         (std::sqrt(sv / scalars.bias2) +
+                                          scalars.eps);
+      ASSERT_EQ(scalar.m[i], sm) << "n=" << n << " i=" << i;
+      ASSERT_EQ(scalar.v[i], sv) << "n=" << n << " i=" << i;
+      ASSERT_EQ(scalar.value[i], sval) << "n=" << n << " i=" << i;
+      ASSERT_EQ(vec.m[i], scalar.m[i]) << "n=" << n << " i=" << i;
+      ASSERT_EQ(vec.v[i], scalar.v[i]) << "n=" << n << " i=" << i;
+      ASSERT_EQ(vec.value[i], scalar.value[i]) << "n=" << n << " i=" << i;
+      ASSERT_EQ(vec.grad[i], 0.0);
+      ASSERT_EQ(scalar.grad[i], 0.0);
+    }
+  }
+}
+
 TEST(SimdKernelsTest, DotFollowsTheLaneSplitSpec) {
   // The family-B contract pinned down independently of any backend:
   // element i accumulates into logical lane i % kLanes and lanes combine in
@@ -231,6 +337,53 @@ TEST(SimdKernelsTest, ZeroTimesNonFinitePropagatesNaN) {
     simd::SumAndSumSq(v.data(), 5, &sum, &sumsq);
     EXPECT_TRUE(std::isnan(sum));  // Inf + (-Inf) inside one lane chain.
     EXPECT_TRUE(std::isinf(sumsq) || std::isnan(sumsq));
+
+    // VecMat and OuterAccumulate: a zero coefficient row against an Inf or
+    // NaN still contributes NaN (no zero-row skip). Shapes reach both the
+    // blocked main loops and the tails.
+    for (int cols : {3, 37}) {
+      std::vector<double> x = {0.0, 1.0};
+      std::vector<double> w(2 * cols, 1.0);
+      w[cols - 1] = kInf;
+      w[0] = kNaN;
+      std::vector<double> vm(cols);
+      simd::VecMat(x.data(), w.data(), vm.data(), 2, cols);
+      EXPECT_TRUE(std::isnan(vm[0])) << "VecMat cols=" << cols;
+      EXPECT_TRUE(std::isnan(vm[cols - 1])) << "VecMat cols=" << cols;
+      EXPECT_EQ(vm[1], 1.0) << "VecMat cols=" << cols;
+    }
+    for (int m : {2, 5}) {
+      const int n = 9;
+      std::vector<double> coef(2 * m, 1.0);  // (kdim = 2) × m
+      for (int i = 0; i < m; ++i) coef[i] = 0.0;  // timestep 0 is all zero
+      std::vector<double> rows(2 * n, 1.0);
+      rows[0] = kInf;
+      rows[n - 1] = kNaN;
+      std::vector<double> acc(m * n, 0.0);
+      simd::OuterAccumulate(coef.data(), rows.data(), acc.data(), m, 2, n);
+      for (int i = 0; i < m; ++i) {
+        EXPECT_TRUE(std::isnan(acc[i * n])) << "OuterAccumulate m=" << m;
+        EXPECT_TRUE(std::isnan(acc[i * n + n - 1]))
+            << "OuterAccumulate m=" << m;
+        EXPECT_EQ(acc[i * n + 1], 1.0) << "OuterAccumulate m=" << m;
+      }
+    }
+
+    // AdamUpdate: lr = 0 times an infinite moment is NaN, and a NaN
+    // gradient reaches the moments and the value.
+    for (int n : {3, 6, 8}) {
+      const simd::AdamScalars zero_lr{0.0, 0.9, 0.999, 1e-8, 0.1, 0.001};
+      std::vector<double> value(n, 1.0), grad(n, 0.5), m(n, 0.0), v(n, 1.0);
+      m[n - 1] = kInf;
+      grad[0] = kNaN;
+      simd::AdamUpdate(value.data(), grad.data(), m.data(), v.data(), n,
+                       zero_lr);
+      EXPECT_TRUE(std::isnan(value[n - 1])) << "AdamUpdate n=" << n;
+      EXPECT_TRUE(std::isnan(m[0]) && std::isnan(v[0]) &&
+                  std::isnan(value[0]))
+          << "AdamUpdate n=" << n;
+      EXPECT_EQ(value[1], 1.0) << "AdamUpdate n=" << n;
+    }
   }
 }
 

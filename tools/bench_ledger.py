@@ -16,8 +16,10 @@ envelope (see bench/bench_util.h):
 Commands:
 
     check FILE...
-        Validate that each file carries a well-formed envelope. Exit 1 on
-        the first malformed file.
+        Validate that each file carries a well-formed envelope and that
+        every payload field whose name contains "bit_identical" (e.g.
+        bit_identical, all_bit_identical) is true. Exit 1 on the first
+        malformed file or failed identity gate.
 
     stamp FILE...
         Add/refresh a "commit" field with the current git HEAD so a
@@ -105,9 +107,26 @@ def direction(name):
     return None
 
 
+def identity_gates(value, prefix=""):
+    """Yields (dotted.path, value) for every field named *bit_identical*."""
+    if isinstance(value, dict):
+        for key, child in value.items():
+            path = f"{prefix}.{key}" if prefix else key
+            if "bit_identical" in key:
+                yield path, child
+            else:
+                yield from identity_gates(child, path)
+    elif isinstance(value, list):
+        for i, child in enumerate(value):
+            yield from identity_gates(child, f"{prefix}[{i}]")
+
+
 def cmd_check(args):
     for path in args.files:
         doc = load_envelope(path)
+        for name, value in identity_gates(doc["payload"]):
+            if value is not True:
+                fail(f"{path}: {name} is {json.dumps(value)}, must be true")
         commit = doc.get("commit", "unstamped")
         metrics = sum(1 for _ in flatten(doc["payload"]))
         print(f"{path}: ok  bench={doc['bench']} backend={doc['backend']} "
