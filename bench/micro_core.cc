@@ -1,7 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the performance-critical
-// primitives: operation application, MI estimation, clustering, state
-// representation, predictor inference and training steps, tree, forest and
-// boosting fits, and —
+// primitives: operation application, MI estimation, clustering, feature
+// generation, state representation, predictor inference and training steps,
+// tree, forest and boosting fits, and —
 // the paper's central contrast — one predictor forward pass vs. one full
 // downstream evaluation.
 //
@@ -27,6 +27,7 @@
 #include "common/simd_kernels.h"
 #include "common/timer.h"
 #include "core/clustering.h"
+#include "core/feature_space.h"
 #include "core/mutual_information.h"
 #include "core/operations.h"
 #include "core/performance_predictor.h"
@@ -359,6 +360,45 @@ Dataset FitShape(int64_t shape) {
   spec.samples = 160;
   return MakeRegression(spec);
 }
+
+// One episode of feature generation at the wide shape (arg 0 above; budget
+// 48 + 16 columns, as the engine sets it): 16 crossing steps alternating a
+// unary op on 4 head columns with a binary op on 3 x 3 pairs. Heads mix
+// originals with the newest generated columns, so the space passes its
+// budget and trims; then it resets to its (warm) originals. Items are steps.
+void BM_FeatureSpaceStep(benchmark::State& state) {
+  const Dataset ds = FitShape(0);
+  const int d = ds.NumFeatures();
+  FeatureSpaceConfig config;
+  config.max_features = d + 16;
+  FeatureSpace space(ds, config);
+  constexpr int kSteps = 16;
+  int64_t added = 0;
+  for (auto _ : state) {
+    Rng rng(9);
+    for (int step = 0; step < kSteps; ++step) {
+      const int n = space.NumColumns();
+      const int base = (7 * step) % d;
+      const int op = step / 2;
+      if (step % 2 == 0) {
+        added += space.ApplyOperation(
+            OpFromIndex(op % kNumUnaryOperations),
+            {base, (base + 11) % d, n - 1, n - 2}, {}, &rng);
+      } else {
+        added += space.ApplyOperation(
+            OpFromIndex(kNumUnaryOperations + op % 4),
+            {base, (base + 11) % d, n - 1}, {(base + 3) % d, n - 2, n - 3},
+            &rng);
+      }
+    }
+    benchmark::DoNotOptimize(added);
+    space.Reset();
+  }
+  state.SetItemsProcessed(state.iterations() * kSteps);
+  state.counters["columns_added"] = benchmark::Counter(
+      static_cast<double>(added), benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_FeatureSpaceStep)->Unit(benchmark::kMillisecond);
 
 void BM_RandomForestFit(benchmark::State& state) {
   Dataset ds = FitShape(state.range(0));

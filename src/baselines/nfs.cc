@@ -88,11 +88,7 @@ class Controller {
     for (int j = 0; j < kEmbedDim; ++j) d_emb(0, j) = d_input(0, j);
     embedding_.Forward({decision.feature});  // refresh cache
     embedding_.Backward(d_emb);
-    std::vector<nn::Parameter*> params;
-    embedding_.CollectParams(&params);
-    net_.CollectParams(&params);
-    nn::ClipGradNorm(params, 5.0);
-    optimizer_->Step();
+    optimizer_->ClippedStep(5.0);
   }
 
  private:

@@ -143,10 +143,7 @@ void CascadingAgents::ActorUpdate(nn::Mlp* net, nn::AdamOptimizer* optimizer,
     }
   }
   net->Backward(d_scores);
-  std::vector<nn::Parameter*> params;
-  net->CollectParams(&params);
-  nn::ClipGradNorm(params, 5.0);
-  optimizer->Step();
+  optimizer->ClippedStep(5.0);
 }
 
 void CascadingAgents::Optimize(const Transition& t) {
@@ -164,10 +161,7 @@ void CascadingAgents::Optimize(const Transition& t) {
   nn::Matrix d_v(1, 1);
   d_v(0, 0) = v_s - target;  // d(0.5 MSE)
   critic_.Backward(d_v);
-  std::vector<nn::Parameter*> params;
-  critic_.CollectParams(&params);
-  nn::ClipGradNorm(params, 5.0);
-  critic_opt_->Step();
+  critic_opt_->ClippedStep(5.0);
 
   ActorUpdate(&head_net_, head_opt_.get(), t.head_inputs, t.head_action,
               advantage, /*logits_row=*/false);

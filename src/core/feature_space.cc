@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <numeric>
 
 #include "common/logging.h"
@@ -10,6 +11,25 @@
 #include "core/mutual_information.h"
 
 namespace fastft {
+
+bool RepairNonFinite(std::vector<double>* values) {
+  const auto is_finite = [](double v) { return std::isfinite(v); };
+  const size_t n = values->size();
+  const size_t n_finite =
+      static_cast<size_t>(std::count_if(values->begin(), values->end(),
+                                        is_finite));
+  if (n_finite < n / 2) return false;
+  if (n_finite == n) return true;
+  std::vector<double> finite;
+  finite.reserve(n_finite);
+  std::copy_if(values->begin(), values->end(), std::back_inserter(finite),
+               is_finite);
+  const double median = Quantile(finite, 0.5);
+  for (double& v : *values) {
+    if (!is_finite(v)) v = median;
+  }
+  return true;
+}
 
 FeatureSpace::FeatureSpace(const Dataset& base, FeatureSpaceConfig config)
     : base_(base), config_(config) {
@@ -27,6 +47,9 @@ FeatureSpace::FeatureSpace(const Dataset& base, FeatureSpaceConfig config)
     Column col;
     col.values = base_.features.Col(c);
     col.expr = MakeLeaf(c);
+    col.value_hash = ValueHash(col.values);
+    col.expr_hash = ExprHash(col.expr);
+    col.rank_hash = RankAndBin(&col).first;
     columns_.push_back(std::move(col));
   }
   RebuildHashes();
@@ -65,9 +88,7 @@ const Summary& FeatureSpace::ColumnSummary(int index) const {
 const std::vector<int>& FeatureSpace::BinnedValues(int index) const {
   FASTFT_CHECK_GE(index, 0);
   FASTFT_CHECK_LT(index, NumColumns());
-  const Column& col = columns_[index];
-  if (col.binned.empty()) col.binned = QuantileBin(col.values, kMiBins);
-  return col.binned;
+  return columns_[index].binned;
 }
 
 double FeatureSpace::LabelRelevance(int index) const {
@@ -94,15 +115,10 @@ double FeatureSpace::Redundancy(int i, int j) const {
 }
 
 std::string FeatureSpace::ColumnName(int index) const {
-  std::vector<std::string> names;
-  names.reserve(base_.NumFeatures());
-  for (int c = 0; c < base_.NumFeatures(); ++c) {
-    names.push_back(base_.features.Name(c));
-  }
-  return ExprToString(Expression(index), names);
+  return ExprToString(Expression(index), base_.features.Names());
 }
 
-uint64_t FeatureSpace::ValueHash(const std::vector<double>& values) const {
+uint64_t FeatureSpace::ValueHash(const std::vector<double>& values) {
   // Hash of values rounded to ~6 significant decimals, catching numerically
   // identical derivations (e.g. square(sqrt(x)) == |x|).
   uint64_t h = 1469598103934665603ULL;
@@ -114,9 +130,10 @@ uint64_t FeatureSpace::ValueHash(const std::vector<double>& values) const {
   return h;
 }
 
-std::pair<uint64_t, uint64_t> FeatureSpace::RankSignature(
-    const std::vector<double>& values) const {
-  std::vector<int> bins = QuantileBin(values, 16);
+std::pair<uint64_t, uint64_t> FeatureSpace::RankAndBin(Column* col) {
+  const std::vector<size_t> order = AscendingOrder(col->values);
+  col->binned = QuantileBinFromOrder(col->values, order, kMiBins);
+  const std::vector<int> bins = QuantileBinFromOrder(col->values, order, 16);
   int max_bin = 0;
   for (int b : bins) max_bin = std::max(max_bin, b);
   uint64_t forward = 1469598103934665603ULL;
@@ -129,45 +146,37 @@ std::pair<uint64_t, uint64_t> FeatureSpace::RankSignature(
   return {forward, reflected};
 }
 
+void FeatureSpace::InsertKeys(const Column& col) {
+  value_hashes_.insert(col.value_hash);
+  expr_hashes_.insert(col.expr_hash);
+  rank_hashes_.insert(col.rank_hash);
+}
+
 void FeatureSpace::RebuildHashes() {
   value_hashes_.clear();
   expr_hashes_.clear();
   rank_hashes_.clear();
-  for (const Column& col : columns_) {
-    value_hashes_.insert(ValueHash(col.values));
-    expr_hashes_.insert(ExprHash(col.expr));
-    rank_hashes_.insert(RankSignature(col.values).first);
-  }
+  for (const Column& col : columns_) InsertKeys(col);
 }
 
-bool FeatureSpace::SanitizeAndCheck(std::vector<double>* values,
-                                    const ExprPtr& expr) {
-  // Repair non-finite entries with the column median of finite ones.
-  std::vector<double> finite;
-  finite.reserve(values->size());
-  for (double v : *values) {
-    if (std::isfinite(v)) finite.push_back(v);
-  }
-  if (finite.size() < values->size() / 2) return false;
-  double median = Quantile(finite, 0.5);
-  for (double& v : *values) {
-    if (!std::isfinite(v)) v = median;
-  }
-  if (StdDev(*values) < config_.min_std) return false;
-  if (expr_hashes_.count(ExprHash(expr)) > 0) return false;
-  if (value_hashes_.count(ValueHash(*values)) > 0) return false;
+bool FeatureSpace::SanitizeAndCheck(Column* candidate) {
+  if (!RepairNonFinite(&candidate->values)) return false;
+  if (StdDev(candidate->values) < config_.min_std) return false;
+  candidate->expr_hash = ExprHash(candidate->expr);
+  if (expr_hashes_.count(candidate->expr_hash) > 0) return false;
+  candidate->value_hash = ValueHash(candidate->values);
+  if (value_hashes_.count(candidate->value_hash) > 0) return false;
+  const auto [forward, reflected] = RankAndBin(candidate);
+  candidate->rank_hash = forward;
   // Monotone-equivalence: an increasing or decreasing rescaling of an
   // existing column adds nothing a split-based model can use. Depth-2
   // expressions (one unary op on an original column, e.g. log(f3)) are
   // exempt — they are the classic rescalings that help linear downstream
   // models — while deeper monotone wrappers (sin(sin(x)) chains) stay
   // banned.
-  if (expr->depth > 2) {
-    auto [forward, reflected] = RankSignature(*values);
-    if (rank_hashes_.count(forward) > 0 ||
-        rank_hashes_.count(reflected) > 0) {
-      return false;
-    }
+  if (candidate->expr->depth > 2 &&
+      (rank_hashes_.count(forward) > 0 || rank_hashes_.count(reflected) > 0)) {
+    return false;
   }
   return true;
 }
@@ -178,13 +187,11 @@ int FeatureSpace::ApplyOperation(OpType op, const std::vector<int>& head,
   int added = 0;
   auto try_add = [&](std::vector<double> values, ExprPtr expr) {
     if (expr->depth > config_.max_expr_depth) return;
-    if (!SanitizeAndCheck(&values, expr)) return;
-    value_hashes_.insert(ValueHash(values));
-    expr_hashes_.insert(ExprHash(expr));
-    rank_hashes_.insert(RankSignature(values).first);
     Column column;
     column.values = std::move(values);
     column.expr = std::move(expr);
+    if (!SanitizeAndCheck(&column)) return;
+    InsertKeys(column);
     columns_.push_back(std::move(column));
     ++added;
   };

@@ -32,6 +32,11 @@ struct FeatureSpaceConfig {
   double min_std = 1e-9;
 };
 
+/// Repairs a generated column in place: every non-finite entry becomes the
+/// median of the finite ones. Returns false, leaving `values` untouched, when
+/// fewer than floor(n / 2) of its n entries are finite.
+bool RepairNonFinite(std::vector<double>* values);
+
 class FeatureSpace {
  public:
   /// Quantile bins behind every MI the space caches (bins, relevance,
@@ -52,7 +57,8 @@ class FeatureSpace {
   /// added, so this is computed once — the state representation hot path).
   const Summary& ColumnSummary(int index) const;
 
-  /// Cached quantile-binned values (MI/clustering hot path).
+  /// Quantile-binned values (kMiBins bins; MI/clustering hot path), binned
+  /// when the column is created, from the sort behind its rank signature.
   const std::vector<int>& BinnedValues(int index) const;
 
   /// Cached MI(F_index, y).
@@ -92,27 +98,35 @@ class FeatureSpace {
   struct Column {
     std::vector<double> values;
     ExprPtr expr;
+    // Dedup keys, fixed when the column is created: ValueHash(values),
+    // ExprHash(expr) and the forward rank signature from RankAndBin, which
+    // also fills `binned` (= QuantileBin(values, kMiBins)).
+    uint64_t value_hash = 0;
+    uint64_t expr_hash = 0;
+    uint64_t rank_hash = 0;
+    std::vector<int> binned;
     // Lazily-filled caches (values are immutable after creation).
     mutable bool summary_ready = false;
     mutable Summary summary;
-    mutable std::vector<int> binned;  // empty until first use
     mutable double relevance = -1.0;  // <0 until first use
     // MI with each lower-index column (this column's row of the triangular
     // redundancy table); entries <0 until first use, empty until any is.
     mutable std::vector<double> pair_mi;
   };
 
-  /// Cleans a candidate column in place; false if it must be rejected
-  /// (constant, duplicated, monotone-equivalent to an existing column, or
-  /// non-finite beyond repair).
-  bool SanitizeAndCheck(std::vector<double>* values, const ExprPtr& expr);
-  uint64_t ValueHash(const std::vector<double>& values) const;
-  /// Rank-pattern signatures: equal for any increasing transform of the same
-  /// column (forward) and for decreasing transforms (reflected). Tree-based
-  /// evaluators are invariant to monotone rescalings, so such candidates are
-  /// informationless duplicates.
-  std::pair<uint64_t, uint64_t> RankSignature(
-      const std::vector<double>& values) const;
+  /// Cleans a candidate column in place and fills its dedup keys; false if
+  /// it must be rejected (constant, duplicated, monotone-equivalent to an
+  /// existing column, or non-finite beyond repair).
+  bool SanitizeAndCheck(Column* candidate);
+  static uint64_t ValueHash(const std::vector<double>& values);
+  /// Sorts the column once for both of its binnings: fills its kMiBins
+  /// `binned` cache and returns its rank-pattern signatures. These are equal
+  /// for any increasing transform of the same column (forward) and for
+  /// decreasing transforms (reflected). Tree-based evaluators are invariant
+  /// to monotone rescalings, so such candidates are informationless
+  /// duplicates.
+  static std::pair<uint64_t, uint64_t> RankAndBin(Column* col);
+  void InsertKeys(const Column& col);
   void RebuildHashes();
 
   Dataset base_;

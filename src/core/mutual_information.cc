@@ -11,14 +11,25 @@
 namespace fastft {
 
 std::vector<int> QuantileBin(const std::vector<double>& values, int bins) {
-  FASTFT_CHECK_GE(bins, 2);
-  const size_t n = values.size();
-  std::vector<int> out(n, 0);
-  if (n == 0) return out;
-  std::vector<size_t> order(n);
+  return QuantileBinFromOrder(values, AscendingOrder(values), bins);
+}
+
+std::vector<size_t> AscendingOrder(const std::vector<double>& values) {
+  std::vector<size_t> order(values.size());
   std::iota(order.begin(), order.end(), 0);
   std::sort(order.begin(), order.end(),
             [&](size_t a, size_t b) { return values[a] < values[b]; });
+  return order;
+}
+
+std::vector<int> QuantileBinFromOrder(const std::vector<double>& values,
+                                      const std::vector<size_t>& order,
+                                      int bins) {
+  FASTFT_CHECK_GE(bins, 2);
+  FASTFT_CHECK_EQ(order.size(), values.size());
+  const size_t n = values.size();
+  std::vector<int> out(n, 0);
+  if (n == 0) return out;
   // Equal-frequency bins; identical values always share a bin. A bin closes
   // as soon as it has reached its quota *and* the value changes — this keeps
   // low-cardinality columns (e.g. binary features) multi-binned instead of

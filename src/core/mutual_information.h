@@ -5,6 +5,7 @@
 
 #pragma once
 
+#include <cstddef>
 #include <vector>
 
 #include "data/dataframe.h"
@@ -14,6 +15,18 @@ namespace fastft {
 
 /// Discretizes `values` into up to `bins` quantile bins (ties collapse).
 std::vector<int> QuantileBin(const std::vector<double>& values, int bins);
+
+/// Row indices of `values` in ascending order of value: the one sort behind
+/// QuantileBin. The order among equal values is unspecified.
+std::vector<size_t> AscendingOrder(const std::vector<double>& values);
+
+/// QuantileBin from a precomputed AscendingOrder(values), so one sort can
+/// feed several bin counts. The codes depend only on the sorted value
+/// sequence (equal values, -0.0 and 0.0 included, always share a bin), so
+/// any ascending order gives the codes QuantileBin gives.
+std::vector<int> QuantileBinFromOrder(const std::vector<double>& values,
+                                      const std::vector<size_t>& order,
+                                      int bins);
 
 /// MI between two pre-binned discrete variables, in nats.
 double DiscreteMutualInformation(const std::vector<int>& a,

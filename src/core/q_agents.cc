@@ -184,19 +184,13 @@ void QCascade::UpdateNet(QNet* net, const nn::Matrix& inputs,
     }
   }
   net->online.Backward(d_scores);
-  std::vector<nn::Parameter*> params;
-  net->online.CollectParams(&params);
-  nn::ClipGradNorm(params, 5.0);
-  net->optimizer->Step();
+  net->optimizer->ClippedStep(5.0);
 
   if (Dueling()) {
     nn::Matrix d_v(1, 1);
     d_v(0, 0) = err;
     net->value_online.Backward(d_v);
-    params.clear();
-    net->value_online.CollectParams(&params);
-    nn::ClipGradNorm(params, 5.0);
-    net->value_optimizer->Step();
+    net->value_optimizer->ClippedStep(5.0);
   }
 }
 

@@ -40,6 +40,7 @@ class DataFrame {
   const std::vector<double>& Col(int index) const;
   std::vector<double>& MutableCol(int index);
   const std::string& Name(int index) const;
+  const std::vector<std::string>& Names() const { return names_; }
   void SetName(int index, std::string name);
 
   /// Index of the column named `name`, or -1.

@@ -57,6 +57,15 @@ void AdamOptimizer::Step() {
   }
 }
 
+bool AdamOptimizer::ClippedStep(double max_norm) {
+  if (!std::isfinite(ClipGradNorm(params_, max_norm))) {
+    ZeroGrads(params_);
+    return false;
+  }
+  Step();
+  return true;
+}
+
 void AdamOptimizer::SaveState(common::BinaryWriter* writer) const {
   writer->WriteI64(t_);
   writer->WriteU32(static_cast<uint32_t>(m_.size()));

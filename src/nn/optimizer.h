@@ -16,7 +16,7 @@ namespace nn {
 /// returns the norm before scaling. A non-finite norm leaves the gradients
 /// untouched: scaling by max_norm / NaN would write NaN into every one of
 /// them. What to do with such gradients is the caller's decision
-/// (SequenceModel::ApplyStep drops the step).
+/// (AdamOptimizer::ClippedStep drops the step).
 double ClipGradNorm(const std::vector<Parameter*>& params, double max_norm);
 
 /// Zeroes the gradients of all parameters.
@@ -30,6 +30,12 @@ class AdamOptimizer {
 
   /// Applies one update from the accumulated gradients, then zeroes them.
   void Step();
+
+  /// ClipGradNorm(params(), max_norm), then Step(). On a non-finite norm
+  /// the step is dropped instead: one NaN/Inf gradient would reach every
+  /// weight and both moments. The gradients are zeroed, weights and moments
+  /// stay as they were, and false is returned.
+  bool ClippedStep(double max_norm);
 
   void set_learning_rate(double lr) { lr_ = lr; }
   double learning_rate() const { return lr_; }

@@ -203,15 +203,10 @@ double SequenceModel::TrainStep(const std::vector<int>& tokens,
 }
 
 void SequenceModel::ApplyStep() {
-  const std::vector<Parameter*>& params = optimizer_->params();
-  if (!std::isfinite(ClipGradNorm(params, 5.0))) {
-    // One NaN/Inf gradient would reach every weight and both Adam moments
-    // through the update; drop the step, keep the model as it was.
-    ZeroGrads(params);
+  if (!optimizer_->ClippedStep(5.0)) {
     ++non_finite_skips_;
     return;
   }
-  optimizer_->Step();
   // Cached prefix states were computed under the old weights.
   prefix_cache_.Invalidate();
 }

@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <set>
+#include <string>
 
 #include "common/rng.h"
+#include "common/serial.h"
 #include "core/agents.h"
 #include "core/q_agents.h"
 
@@ -33,6 +36,13 @@ Transition MakeTransition(double reward, uint64_t seed) {
   t.tokens = {1, 2, 3};
   t.performance = reward;
   return t;
+}
+
+// Weights, targets and optimizer moments, as a checkpoint stores them.
+std::string Snapshot(CascadePolicy* policy) {
+  common::BinaryWriter writer;
+  policy->SaveState(&writer);
+  return writer.Release();
 }
 
 TEST(SoftmaxTest, NormalizedAndOrderPreserving) {
@@ -149,7 +159,46 @@ TEST(CascadingAgentsTest, TdErrorMatchesDefinition) {
   EXPECT_NEAR(td, manual, 1e-12);
 }
 
+// A NaN reward makes the critic target and the advantage NaN, so every
+// gradient is NaN: each update is dropped and its gradients zeroed, so a
+// later finite update trains as if the NaN one had never happened.
+TEST(CascadingAgentsTest, NonFiniteRewardLeavesWeightsUnchanged) {
+  CascadingAgents agents(AgentConfig{});
+  CascadingAgents reference(AgentConfig{});
+  const std::string before = Snapshot(&agents);
+  ASSERT_EQ(before, Snapshot(&reference));
+  agents.Optimize(MakeTransition(std::nan(""), 31));
+  EXPECT_EQ(Snapshot(&agents), before);
+  const Transition finite = MakeTransition(0.4, 37);
+  agents.Optimize(finite);
+  reference.Optimize(finite);
+  EXPECT_NE(Snapshot(&agents), before);
+  EXPECT_EQ(Snapshot(&agents), Snapshot(&reference));
+}
+
 class QVariantTest : public testing::TestWithParam<QVariant> {};
+
+// Same for the Q-learning nets (online and, for the dueling variants, the
+// value net). The snapshot's last field is the update counter, which does
+// count the dropped update.
+TEST_P(QVariantTest, NonFiniteRewardLeavesWeightsUnchanged) {
+  QCascade agents(GetParam(), QAgentConfig{});
+  QCascade reference(GetParam(), QAgentConfig{});
+  auto weights = [](QCascade* policy) {
+    std::string bytes = Snapshot(policy);
+    bytes.resize(bytes.size() - sizeof(int32_t));
+    return bytes;
+  };
+  const std::string before = weights(&agents);
+  ASSERT_EQ(before, weights(&reference));
+  agents.Optimize(MakeTransition(std::nan(""), 41));
+  EXPECT_EQ(weights(&agents), before);
+  const Transition finite = MakeTransition(0.6, 43);
+  agents.Optimize(finite);
+  reference.Optimize(finite);
+  EXPECT_NE(weights(&agents), before);
+  EXPECT_EQ(weights(&agents), weights(&reference));
+}
 
 TEST_P(QVariantTest, SelectionsInRange) {
   QCascade agents(GetParam(), QAgentConfig{});

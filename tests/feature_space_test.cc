@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <numeric>
+#include <string>
 
 #include "common/rng.h"
 #include "core/clustering.h"
@@ -259,6 +263,118 @@ TEST(FeatureSpaceTest, RedundancyCacheMatchesFreshMiThroughTrimsAndResets) {
     }
     ExpectRedundancyFresh(space);
     EXPECT_GT(trims, 3) << "the walk must push past the budget";
+  }
+}
+
+// Dedup keys are fixed when a column is created. A budget trim or a reset
+// drops the removed columns' keys and keeps every survivor's.
+TEST(FeatureSpaceTest, TrimmedColumnsKeysGoSurvivorsKeysStay) {
+  FeatureSpaceConfig cfg;
+  cfg.max_features = 7;  // the 6 originals and one generated column
+  FeatureSpace space(SmallDataset(), cfg);
+  Rng rng(13);
+  ASSERT_EQ(space.ApplyOperation(OpType::kAdd, {0, 1}, {2}, &rng), 2);
+  ASSERT_EQ(space.NumColumns(), 7);
+  const std::string survivor = ExprToString(space.Expression(6));
+  ASSERT_TRUE(survivor == "(f0+f2)" || survivor == "(f1+f2)") << survivor;
+  const int kept = survivor == "(f0+f2)" ? 0 : 1;
+  const int trimmed = 1 - kept;
+
+  // The trimmed column's keys are gone: the same column is accepted again
+  // (and trimmed again, the survivor being the more relevant one).
+  EXPECT_EQ(space.ApplyOperation(OpType::kAdd, {trimmed}, {2}, &rng), 1);
+  ASSERT_EQ(ExprToString(space.Expression(6)), survivor);
+  // So is a value-identical twin under another expression.
+  EXPECT_EQ(space.ApplyOperation(OpType::kAdd, {2}, {trimmed}, &rng), 1);
+  ASSERT_EQ(ExprToString(space.Expression(6)), survivor);
+
+  // The survivor's keys stay: same expression, same values, and (depth 3)
+  // an increasing transform of it are all rejected.
+  EXPECT_EQ(space.ApplyOperation(OpType::kAdd, {kept}, {2}, &rng), 0);
+  EXPECT_EQ(space.ApplyOperation(OpType::kAdd, {2}, {kept}, &rng), 0);
+  EXPECT_EQ(space.ApplyOperation(OpType::kCube, {6}, {}, &rng), 0);
+  // Control: a depth-3 transform that is not monotone passes.
+  EXPECT_EQ(space.ApplyOperation(OpType::kSquare, {6}, {}, &rng), 1);
+  for (int c = 0; c < space.NumColumns(); ++c) {
+    EXPECT_EQ(space.BinnedValues(c),
+              QuantileBin(space.Values(c), FeatureSpace::kMiBins));
+  }
+
+  // After a reset only the originals' keys remain: every generated column
+  // is new again, and the keys of columns added after it still reject.
+  space.Reset();
+  EXPECT_EQ(space.ApplyOperation(OpType::kAdd, {kept}, {2}, &rng), 1);
+  space.Reset();
+  EXPECT_EQ(space.ApplyOperation(OpType::kAdd, {2}, {kept}, &rng), 1);
+  space.Reset();
+  ASSERT_EQ(space.ApplyOperation(OpType::kCube, {5}, {}, &rng), 1);
+  EXPECT_EQ(space.ApplyOperation(OpType::kCube, {6}, {}, &rng), 0);
+}
+
+TEST(FeatureSpaceTest, RepairReplacesNonFiniteWithFiniteMedian) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<double> values = {4.0, nan, 1.0, -inf, 3.0, inf, 10.0};
+  ASSERT_TRUE(RepairNonFinite(&values));
+  // Median of {1, 3, 4, 10} is 3.5 (the mean would be 4.5).
+  EXPECT_EQ(values,
+            (std::vector<double>{4.0, 3.5, 1.0, 3.5, 3.0, 3.5, 10.0}));
+
+  std::vector<double> clean = {3.0, -1.0, 2.0};
+  ASSERT_TRUE(RepairNonFinite(&clean));
+  EXPECT_EQ(clean, (std::vector<double>{3.0, -1.0, 2.0}));
+
+  // floor(n / 2) finite entries are enough; fewer are rejected, and the
+  // column is left as it was.
+  std::vector<double> half = {1.0, nan, 9.0, inf, -inf, 2.0, nan};
+  EXPECT_TRUE(RepairNonFinite(&half));
+  EXPECT_EQ(half, (std::vector<double>{1.0, 2.0, 9.0, 2.0, 2.0, 2.0, 2.0}));
+  std::vector<double> sparse = {1.0, nan, inf, -inf, nan, 5.0};
+  EXPECT_FALSE(RepairNonFinite(&sparse));
+  EXPECT_EQ(sparse[0], 1.0);
+  EXPECT_TRUE(std::isnan(sparse[1]));
+  EXPECT_EQ(sparse[2], inf);
+  EXPECT_EQ(sparse[5], 5.0);
+}
+
+// QuantileBinFromOrder gives QuantileBin's codes for any ascending order,
+// whichever way it breaks ties, -0.0 against 0.0 included.
+TEST(FeatureSpaceTest, SharedOrderBinningMatchesQuantileBin) {
+  Rng rng(14);
+  std::vector<std::vector<double>> columns;
+  for (int levels : {2, 3, 5, 40}) {
+    std::vector<double> v(97);
+    for (double& x : v) x = rng.UniformInt(levels);
+    columns.push_back(v);
+  }
+  std::vector<double> zeros(64);
+  const double signed_values[] = {-0.0, 0.0, -1.0, 1.0};
+  for (double& x : zeros) x = signed_values[rng.UniformInt(4)];
+  columns.push_back(zeros);
+  columns.push_back({-0.0, 0.0, -0.0, 0.0, 0.0, -0.0, 2.0, -2.0});
+  for (const std::vector<double>& values : columns) {
+    std::vector<size_t> by_index(values.size());
+    std::iota(by_index.begin(), by_index.end(), 0);
+    std::vector<size_t> reversed = by_index;
+    std::stable_sort(by_index.begin(), by_index.end(), [&](size_t a,
+                                                           size_t b) {
+      return values[a] < values[b];
+    });
+    // Ties by descending index, and -0.0 before 0.0 where they tie.
+    std::sort(reversed.begin(), reversed.end(), [&](size_t a, size_t b) {
+      if (values[a] != values[b]) return values[a] < values[b];
+      if (std::signbit(values[a]) != std::signbit(values[b])) {
+        return std::signbit(values[a]);
+      }
+      return a > b;
+    });
+    for (int bins : {FeatureSpace::kMiBins, 16}) {
+      const std::vector<int> expected = QuantileBin(values, bins);
+      EXPECT_EQ(QuantileBinFromOrder(values, AscendingOrder(values), bins),
+                expected);
+      EXPECT_EQ(QuantileBinFromOrder(values, by_index, bins), expected);
+      EXPECT_EQ(QuantileBinFromOrder(values, reversed, bins), expected);
+    }
   }
 }
 
