@@ -15,6 +15,7 @@
 #include <cinttypes>
 
 #include "bench_util.h"
+#include "common/metrics.h"
 #include "common/rng.h"
 #include "common/simd_kernels.h"
 #include "common/threadpool.h"
@@ -112,13 +113,31 @@ int main_impl() {
   NoveltyEstimator cached_nov(ne_cached);
   double cached_s = 0.0;
   int64_t long_steps_cached = 0;
+  // The registry delta brackets only the cached run, so it counts exactly
+  // this pair's prefix caches (the scratch pair's caches are disabled).
+  const obs::MetricsSnapshot cache_start =
+      obs::MetricsRegistry::Global().Snapshot();
   std::vector<double> cached_scores =
       run_steps(&cached_pred, &cached_nov, &cached_s, &long_steps_cached);
+  const obs::MetricsSnapshot cache = obs::DeltaSnapshot(
+      cache_start, obs::MetricsRegistry::Global().Snapshot());
+  const int64_t lookups = cache.CounterValue("encode_cache.lookups");
+  const int64_t hits = cache.CounterValue("encode_cache.hits");
+  const int64_t tokens_reused =
+      cache.CounterValue("encode_cache.tokens_reused");
+  const int64_t tokens_encoded =
+      cache.CounterValue("encode_cache.tokens_encoded");
+  const double hit_rate =
+      lookups > 0 ? static_cast<double>(hits) / static_cast<double>(lookups)
+                  : 0.0;
+  const double token_reuse_rate =
+      tokens_reused + tokens_encoded > 0
+          ? static_cast<double>(tokens_reused) /
+                static_cast<double>(tokens_reused + tokens_encoded)
+          : 0.0;
 
   const bool step_identical = BitIdentical(scratch_scores, cached_scores);
   const double step_speedup = cached_s > 0 ? scratch_s / cached_s : 0.0;
-  nn::PrefixCacheStats cache = cached_pred.cache_stats();
-  cache.Merge(cached_nov.cache_stats());
   const double us_scratch =
       long_steps > 0 ? 1e6 * scratch_s / static_cast<double>(long_steps) : 0.0;
   const double us_cached =
@@ -131,8 +150,8 @@ int main_impl() {
   std::printf("prefix cache   hit rate %.3f   token reuse %.3f   "
               "(%" PRId64 " lookups, %" PRId64 " reused, %" PRId64
               " encoded)\n",
-              cache.HitRate(), cache.TokenReuseRate(), cache.lookups,
-              cache.tokens_reused, cache.tokens_encoded);
+              hit_rate, token_reuse_rate, lookups, tokens_reused,
+              tokens_encoded);
 
   // --- Layer 1b: SIMD on/off determinism. --------------------------------
   // A third identically-seeded pair scores the same workload with the
@@ -213,7 +232,7 @@ int main_impl() {
               "\"speedup\": %.3f, \"bit_identical\": %s}, "
               "\"bit_identical\": %s}\n",
               long_steps, us_scratch, us_cached, step_speedup,
-              cache.HitRate(), cache.TokenReuseRate(), batch_size, kThreads,
+              hit_rate, token_reuse_rate, batch_size, kThreads,
               batch_serial_s, batch_parallel_s, batch_speedup,
               simd::ActiveBackend(), scalar_kernels_s, simd_speedup,
               simd_identical ? "true" : "false",

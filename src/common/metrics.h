@@ -1,17 +1,17 @@
 // Unified metrics registry — the fastft::obs counting layer.
 //
-// Replaces the one-off stat plumbing that accumulated in EngineResult
-// (estimation-cache counters, evaluation counts, ...) with a process-wide
-// registry of named counters, gauges, and fixed-bucket histograms. The
-// engine snapshots the registry at the start and end of a run and reports
-// the delta, so concurrent instrumented subsystems (thread pool, encode
-// cache, forests) all feed one "metrics" section of the run report.
+// The only store of event counts: a process-wide registry of named
+// counters, gauges, and fixed-bucket histograms. Subsystems count here and
+// nowhere else. The engine snapshots the registry at the start and end of a
+// run and reports the delta, so concurrent instrumented subsystems (thread
+// pool, encode cache, forests) all feed one "metrics" section of the run
+// report.
 //
 // All mutation paths are lock-free atomics, safe to call from pool workers;
 // registration (name -> metric lookup) takes a mutex, so call sites cache
 // the returned pointer (metrics live for the process lifetime — pointers
-// never dangle). Counting never changes any computation: engine outputs are
-// bit-identical whether a run snapshots metrics or not.
+// never dangle). Counting never changes any computation: it only adds to
+// atomics that no engine decision reads.
 //
 // Metric naming scheme: "<subsystem>.<metric>[_<unit>]", e.g.
 // "engine.steps", "pool.queue_wait_us", "encode_cache.hits".

@@ -26,8 +26,6 @@ namespace {
 struct EngineMetrics {
   obs::Counter* steps;
   obs::Counter* episodes;
-  obs::Counter* downstream_evaluations;
-  obs::Counter* predictor_estimations;
   obs::Counter* candidate_batches;
 };
 
@@ -37,8 +35,6 @@ const EngineMetrics& Metrics() {
     return EngineMetrics{
         registry.GetCounter("engine.steps"),
         registry.GetCounter("engine.episodes"),
-        registry.GetCounter("engine.downstream_evaluations"),
-        registry.GetCounter("engine.predictor_estimations"),
         registry.GetCounter("engine.candidate_batches"),
     };
   }();
@@ -304,10 +300,8 @@ Result<EngineResult> FastFtEngine::Run(const Dataset& dataset) {
   // Metrics and span-total deltas: counting is always on; each snapshot pair
   // brackets this run so EngineResult reports only what the run itself did.
   const obs::SpanTotals spans_start = obs::ReadSpanTotals();
-  obs::MetricsSnapshot metrics_start;
-  if (config_.metrics) {
-    metrics_start = obs::MetricsRegistry::Global().Snapshot();
-  }
+  const obs::MetricsSnapshot metrics_start =
+      obs::MetricsRegistry::Global().Snapshot();
   EngineResult result;
   HealthReport& health = result.health;
   Rng rng(config_.seed);
@@ -345,8 +339,6 @@ Result<EngineResult> FastFtEngine::Run(const Dataset& dataset) {
         std::vector<double> scores = evaluator.EvaluateBatch(candidates);
         result.downstream_evaluations += static_cast<int64_t>(scores.size());
         Metrics().candidate_batches->Increment();
-        Metrics().downstream_evaluations->Increment(
-            static_cast<int64_t>(scores.size()));
         for (double& score : scores) {
           if (FASTFT_FAULT_POINT("evaluator/evaluate")) {
             score = kNaN;
@@ -470,7 +462,6 @@ Result<EngineResult> FastFtEngine::Run(const Dataset& dataset) {
     FASTFT_TRACE_SPAN("engine/evaluate");
     double base = evaluator.Evaluate(dataset);
     ++result.downstream_evaluations;
-    Metrics().downstream_evaluations->Increment();
     if (FASTFT_FAULT_POINT("evaluator/base")) base = kNaN;
     if (!std::isfinite(base)) {
       if (deadline.Expired()) {
@@ -653,7 +644,6 @@ Result<EngineResult> FastFtEngine::Run(const Dataset& dataset) {
             !health.predictor.quarantined()) {
           predicted = predictor->Predict(t.tokens);
           ++result.predictor_estimations;
-          Metrics().predictor_estimations->Increment();
           if (FASTFT_FAULT_POINT("predictor/predict")) predicted = kNaN;
           if (!std::isfinite(predicted)) {
             const bool was_quarantined = health.predictor.quarantined();
@@ -1012,12 +1002,8 @@ Result<EngineResult> FastFtEngine::Run(const Dataset& dataset) {
   result.total_steps = global_step;
   result.interrupted = interrupted;
   result.completed_episodes = rs.next_episode;
-  result.estimation_cache = predictor->cache_stats();
-  result.estimation_cache.Merge(novelty->cache_stats());
-  if (config_.metrics) {
-    result.metrics = obs::DeltaSnapshot(
-        metrics_start, obs::MetricsRegistry::Global().Snapshot());
-  }
+  result.metrics = obs::DeltaSnapshot(metrics_start,
+                                     obs::MetricsRegistry::Global().Snapshot());
   result.spans = obs::SpanTotalsDelta(spans_start, obs::ReadSpanTotals());
   return result;
 }

@@ -128,10 +128,6 @@ struct EngineConfig {
   /// Per-thread span ring capacity while tracing (drop-oldest beyond this;
   /// the export reports how many were dropped).
   int trace_ring_capacity = 65536;
-  /// Capture a per-run metrics snapshot (counters/gauges/histograms delta
-  /// over the run) into EngineResult::metrics. Counting is always on
-  /// process-wide; this only gates the snapshot.
-  bool metrics = true;
 
   /// When non-empty, Run() records per-step decision provenance — candidate
   /// sets, chosen/runner-up scores, the Eq. 6 reward decomposition, replay
@@ -197,17 +193,18 @@ struct EngineResult {
   /// it to the Table II buckets. Like `metrics` it is process-wide: engines
   /// running concurrently in one process see each other's spans.
   obs::SpanTotals spans;
+  /// Run totals. They are checkpointed, so a resumed run reports the count
+  /// of the whole run, not just of the part after the restore.
   int64_t downstream_evaluations = 0;
   int64_t predictor_estimations = 0;
-  /// Combined prefix-state cache counters of the estimation networks
-  /// (performance predictor + both novelty networks).
-  nn::PrefixCacheStats estimation_cache;
   int total_steps = 0;
   /// Faults observed, updates skipped, quarantines, and recoveries during
   /// the run (all zero on a healthy run).
   HealthReport health;
   /// Delta of the process-wide metrics registry over this run (counters,
-  /// gauges, histograms) when EngineConfig::metrics is set; empty otherwise.
+  /// gauges, histograms). Process-local: a resumed run counts only what it
+  /// did after the restore, and the run totals above are the checkpointed
+  /// record of the whole run.
   obs::MetricsSnapshot metrics;
   /// True when the run stopped early on the wall-clock budget or the
   /// cancel flag; the result is then a valid partial report covering

@@ -158,12 +158,6 @@ std::vector<std::vector<double>> NoveltyEstimator::TargetEmbeddingBatch(
   return embeddings;
 }
 
-nn::PrefixCacheStats NoveltyEstimator::cache_stats() const {
-  nn::PrefixCacheStats stats = target_.prefix_cache_stats();
-  stats.Merge(estimator_.prefix_cache_stats());
-  return stats;
-}
-
 void NoveltyEstimator::SaveState(common::BinaryWriter* writer) {
   target_.SaveState(writer);
   estimator_.SaveState(writer);

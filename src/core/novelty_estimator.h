@@ -85,9 +85,6 @@ class NoveltyEstimator {
   std::vector<std::vector<double>> TargetEmbeddingBatch(
       const std::vector<std::vector<int>>& batch, int num_threads) const;
 
-  /// Combined prefix-cache counters of the target and estimator networks.
-  nn::PrefixCacheStats cache_stats() const;
-
   /// Embeds estimator weights/optimizer, the frozen target's weights (for
   /// safety against any init drift), and the Welford running scale in a
   /// checkpoint payload.

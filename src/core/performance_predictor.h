@@ -75,11 +75,6 @@ class PerformancePredictor {
   void SaveState(common::BinaryWriter* writer) { model_.SaveState(writer); }
   void LoadState(common::BinaryReader* reader) { model_.LoadState(reader); }
 
-  /// Counters of the inference prefix-state cache.
-  nn::PrefixCacheStats cache_stats() const {
-    return model_.prefix_cache_stats();
-  }
-
   size_t ParameterBytes() const { return model_.ParameterBytes(); }
   size_t ActivationBytes(int len) const { return model_.ActivationBytes(len); }
   nn::Backbone backbone() const { return model_.config().backbone; }

@@ -76,24 +76,10 @@ std::string RunReportJson(const Dataset& original,
       << ",\n";
   out << "  \"total_steps\": " << result.total_steps << ",\n";
 
-  const nn::PrefixCacheStats& cache = result.estimation_cache;
-  out << "  \"estimation_cache\": {\"lookups\": " << cache.lookups
-      << ", \"hits\": " << cache.hits << ", \"hit_rate\": ";
-  AppendNumber(out, cache.HitRate());
-  out << ", \"tokens_reused\": " << cache.tokens_reused
-      << ", \"tokens_encoded\": " << cache.tokens_encoded
-      << ", \"token_reuse_rate\": ";
-  AppendNumber(out, cache.TokenReuseRate());
-  out << ", \"evictions\": " << cache.evictions
-      << ", \"invalidations\": " << cache.invalidations << "},\n";
-
   out << "  \"health\": " << result.health.ToJson() << ",\n";
 
-  // Additive: runs with EngineConfig::metrics off keep the legacy shape.
   // Only work metrics: runtime ones (pool.*) vary with the thread count.
-  if (!result.metrics.empty()) {
-    out << "  \"metrics\": " << result.metrics.WorkOnly().ToJson() << ",\n";
-  }
+  out << "  \"metrics\": " << result.metrics.WorkOnly().ToJson() << ",\n";
 
   out << "  \"times\": {";
   bool first = true;

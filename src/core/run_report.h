@@ -13,9 +13,10 @@
 
 namespace fastft {
 
-/// Serializes the result of an engine run (scores, timing buckets,
-/// evaluation counts, generated-feature expressions, and the per-step
-/// trace) as a JSON object.
+/// Serializes the result of an engine run (scores, run totals, health, the
+/// work-metrics delta, timing buckets, generated-feature expressions, and
+/// the per-step trace) as a JSON object. DESIGN.md §8 lists which fields
+/// each perturbation may change.
 std::string RunReportJson(const Dataset& original, const EngineResult& result);
 
 /// Writes RunReportJson to `path`.

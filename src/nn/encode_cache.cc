@@ -9,9 +9,9 @@ namespace fastft {
 namespace nn {
 namespace {
 
-// Global mirrors of the per-cache counters: every prefix cache in the
-// process (predictor + both novelty networks) feeds the same metrics, which
-// the engine's snapshot delta slices per run.
+// The only record of cache activity: every prefix cache in the process
+// (predictor + both novelty networks) feeds the same registry counters,
+// which the engine's snapshot delta slices per run.
 struct CacheMetrics {
   obs::Counter* lookups;
   obs::Counter* hits;
@@ -63,27 +63,6 @@ size_t EncodeState::Bytes() const {
   return bytes;
 }
 
-double PrefixCacheStats::HitRate() const {
-  return lookups > 0 ? static_cast<double>(hits) / static_cast<double>(lookups)
-                     : 0.0;
-}
-
-double PrefixCacheStats::TokenReuseRate() const {
-  const int64_t total = tokens_reused + tokens_encoded;
-  return total > 0 ? static_cast<double>(tokens_reused) /
-                         static_cast<double>(total)
-                   : 0.0;
-}
-
-void PrefixCacheStats::Merge(const PrefixCacheStats& other) {
-  lookups += other.lookups;
-  hits += other.hits;
-  tokens_reused += other.tokens_reused;
-  tokens_encoded += other.tokens_encoded;
-  evictions += other.evictions;
-  invalidations += other.invalidations;
-}
-
 PrefixStateCache::PrefixStateCache(size_t capacity_bytes)
     : capacity_bytes_(capacity_bytes) {}
 
@@ -106,7 +85,6 @@ bool PrefixStateCache::LongestPrefix(const std::vector<int>& tokens,
   const CacheMetrics& metrics = Metrics();
   metrics.lookups->Increment();
   common::MutexLock lock(&mu_);
-  ++stats_.lookups;
   for (int len = n; len >= 1; --len) {
     auto it = index_.find(prefix_hash[len - 1]);
     if (it == index_.end()) continue;
@@ -119,8 +97,6 @@ bool PrefixStateCache::LongestPrefix(const std::vector<int>& tokens,
     }
     lru_.splice(lru_.begin(), lru_, it->second);
     *state = entry.state;
-    ++stats_.hits;
-    stats_.tokens_reused += len;
     metrics.hits->Increment();
     metrics.tokens_reused->Increment(len);
     return true;
@@ -167,7 +143,6 @@ void PrefixStateCache::EvictOverCapLocked() {
     bytes_used_ -= EntryBytes(victim);
     index_.erase(victim.key);
     lru_.pop_back();
-    ++stats_.evictions;
     Metrics().evictions->Increment();
   }
 }
@@ -175,25 +150,17 @@ void PrefixStateCache::EvictOverCapLocked() {
 void PrefixStateCache::RecordEncoded(int64_t count) {
   if (!enabled() || count <= 0) return;
   Metrics().tokens_encoded->Increment(count);
-  common::MutexLock lock(&mu_);
-  stats_.tokens_encoded += count;
 }
 
 void PrefixStateCache::Invalidate() {
   if (!enabled()) return;
   common::MutexLock lock(&mu_);
   if (!lru_.empty()) {
-    ++stats_.invalidations;
     Metrics().invalidations->Increment();
   }
   lru_.clear();
   index_.clear();
   bytes_used_ = 0;
-}
-
-PrefixCacheStats PrefixStateCache::stats() const {
-  common::MutexLock lock(&mu_);
-  return stats_;
 }
 
 size_t PrefixStateCache::bytes_used() const {

@@ -49,23 +49,6 @@ struct EncodeState {
   size_t Bytes() const;
 };
 
-/// Counters of one cache (or the merged counters of several — see Merge).
-struct PrefixCacheStats {
-  int64_t lookups = 0;
-  int64_t hits = 0;            // lookups that found a non-empty prefix
-  int64_t tokens_reused = 0;   // prefix tokens served from cached states
-  int64_t tokens_encoded = 0;  // suffix tokens pushed through the backbone
-  int64_t evictions = 0;
-  int64_t invalidations = 0;   // full clears after weight updates
-
-  /// hits / lookups (0 when never queried).
-  double HitRate() const;
-  /// tokens_reused / (tokens_reused + tokens_encoded) — the fraction of
-  /// encoder work the cache absorbed.
-  double TokenReuseRate() const;
-  void Merge(const PrefixCacheStats& other);
-};
-
 /// Bounded LRU map from token prefixes to EncodeState snapshots.
 class PrefixStateCache {
  public:
@@ -77,7 +60,7 @@ class PrefixStateCache {
 
   /// Finds the longest cached prefix of `tokens` (up to and including the
   /// full sequence). On a hit, copies the snapshot into *state and returns
-  /// true. Records lookup/hit/tokens_reused stats.
+  /// true. Counts encode_cache.lookups/hits/misses/tokens_reused.
   bool LongestPrefix(const std::vector<int>& tokens, EncodeState* state);
 
   /// Stores a snapshot covering tokens[0, state.length). An existing entry
@@ -85,14 +68,13 @@ class PrefixStateCache {
   /// evicted until the byte cap holds.
   void Insert(const std::vector<int>& tokens, const EncodeState& state);
 
-  /// Adds `count` to the tokens_encoded counter (suffix work performed by
+  /// Adds `count` to encode_cache.tokens_encoded (suffix work performed by
   /// the caller after a lookup).
   void RecordEncoded(int64_t count);
 
   /// Drops every entry; call whenever the encoder's weights change.
   void Invalidate();
 
-  PrefixCacheStats stats() const;
   size_t bytes_used() const;
   size_t entries() const;
 
@@ -114,7 +96,6 @@ class PrefixStateCache {
   EntryList lru_ FASTFT_GUARDED_BY(mu_);
   std::unordered_map<uint64_t, EntryList::iterator> index_
       FASTFT_GUARDED_BY(mu_);
-  PrefixCacheStats stats_ FASTFT_GUARDED_BY(mu_);
 };
 
 }  // namespace nn

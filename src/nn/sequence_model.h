@@ -113,9 +113,6 @@ class SequenceModel {
   /// prefix-state cache is invalidated (cached states encode old weights).
   void LoadState(common::BinaryReader* reader);
 
-  /// Counters of the inference prefix-state cache.
-  PrefixCacheStats prefix_cache_stats() const { return prefix_cache_.stats(); }
-
   size_t ParameterBytes() const;
   size_t ActivationBytes(int sequence_length) const;
 

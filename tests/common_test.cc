@@ -2,11 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <cmath>
 #include <map>
-#include <regex>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/logging.h"
@@ -296,6 +297,71 @@ TEST(TimerTest, WallTimerAdvances) {
   EXPECT_GT(timer.Seconds(), 0.0);
 }
 
+// Reads a log line left to right; each step consumes its token or fails.
+class LineCursor {
+ public:
+  LineCursor(const std::string& line, size_t pos) : line_(line), pos_(pos) {}
+
+  bool Literal(std::string_view text) {
+    if (line_.compare(pos_, text.size(), text) != 0) return false;
+    pos_ += text.size();
+    return true;
+  }
+  /// Exactly `count` digits, or (count == 0) one or more.
+  bool Digits(size_t count = 0) {
+    size_t n = 0;
+    while (pos_ + n < line_.size() &&
+           std::isdigit(static_cast<unsigned char>(line_[pos_ + n])) &&
+           (count == 0 || n < count)) {
+      ++n;
+    }
+    if (n == 0 || (count != 0 && n != count)) return false;
+    pos_ += n;
+    return true;
+  }
+
+ private:
+  const std::string& line_;
+  size_t pos_;
+};
+
+// True when `line` contains
+// "[WARN +<digits>.<3 digits>ms T<digits> common_test.cc:<digits>] format
+// probe" (a regex search for the same pattern).
+bool HasWarnProbeLine(const std::string& line) {
+  for (size_t start = line.find('['); start != std::string::npos;
+       start = line.find('[', start + 1)) {
+    LineCursor c(line, start);
+    if (c.Literal("[WARN +") && c.Digits() && c.Literal(".") && c.Digits(3) &&
+        c.Literal("ms T") && c.Digits() && c.Literal(" common_test.cc:") &&
+        c.Digits() && c.Literal("] format probe")) {
+      return true;
+    }
+  }
+  return false;
+}
+
+TEST(LoggingTest, LineFormatMatcherIsStrict) {
+  EXPECT_TRUE(
+      HasWarnProbeLine("[WARN +12.345ms T0 common_test.cc:7] format probe"));
+  EXPECT_TRUE(HasWarnProbeLine(
+      "x [WARN +0.000ms T12 common_test.cc:310] format probe\n"));
+  for (const char* line : {
+           "[WARN +12.34ms T0 common_test.cc:7] format probe",
+           "[WARN +12.3456ms T0 common_test.cc:7] format probe",
+           "[WARN +.345ms T0 common_test.cc:7] format probe",
+           "[WARN +12.345ms T common_test.cc:7] format probe",
+           "[WARN +12.345ms Tx common_test.cc:7] format probe",
+           "[WARN +12.345ms T0 common_test.cc:] format probe",
+           "[WARN +12.345ms T0 common_test.cc:7x] format probe",
+           "[WARN +12.345ms T0 other_test.cc:7] format probe",
+           "[INFO +12.345ms T0 common_test.cc:7] format probe",
+           "[WARN +12.345ms T0 common_test.cc:7] format",
+       }) {
+    EXPECT_FALSE(HasWarnProbeLine(line)) << line;
+  }
+}
+
 TEST(LoggingTest, LineFormat) {
   std::vector<std::string> lines;
   internal::SetLogSinkForTest(&lines);
@@ -303,10 +369,7 @@ TEST(LoggingTest, LineFormat) {
   internal::SetLogSinkForTest(nullptr);
 
   ASSERT_EQ(lines.size(), 1u);
-  // [WARN +12.345ms T0 common_test.cc:NN] format probe
-  std::regex pattern(
-      R"(\[WARN \+\d+\.\d{3}ms T\d+ common_test\.cc:\d+\] format probe)");
-  EXPECT_TRUE(std::regex_search(lines[0], pattern)) << "line: " << lines[0];
+  EXPECT_TRUE(HasWarnProbeLine(lines[0])) << "line: " << lines[0];
 }
 
 TEST(LoggingTest, MonotonicTimestampsAdvance) {

@@ -9,8 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
 #include <vector>
 
+#include "common/metrics.h"
 #include "common/rng.h"
 #include "core/engine.h"
 #include "core/novelty_estimator.h"
@@ -53,6 +55,13 @@ std::vector<std::vector<int>> IndependentSequences(int count, int vocab,
   return sequences;
 }
 
+// Registry delta across `fn`: what the prefix caches it ran counted.
+obs::MetricsSnapshot MetricsDelta(const std::function<void()>& fn) {
+  const obs::MetricsSnapshot start = obs::MetricsRegistry::Global().Snapshot();
+  fn();
+  return obs::DeltaSnapshot(start, obs::MetricsRegistry::Global().Snapshot());
+}
+
 class BackboneModelTest : public ::testing::TestWithParam<nn::Backbone> {};
 
 // The inference path (Predict, prefix cache enabled) must be bit-identical
@@ -82,20 +91,27 @@ TEST_P(BackboneModelTest, PrefixCacheEquivalentToScratch) {
   nn::SequenceModel cached(cached_cfg);
   nn::SequenceModel scratch(scratch_cfg);
 
-  for (const std::vector<int>& seq : GrowingSequences(16, 64, 6)) {
-    EXPECT_EQ(cached.Predict(seq), scratch.Predict(seq));
-    EXPECT_EQ(cached.Encode(seq), scratch.Encode(seq));
-  }
-  nn::PrefixCacheStats stats = cached.prefix_cache_stats();
+  const std::vector<std::vector<int>> sequences = GrowingSequences(16, 64, 6);
+  const obs::MetricsSnapshot delta = MetricsDelta([&] {
+    for (const std::vector<int>& seq : sequences) {
+      EXPECT_EQ(cached.Predict(seq), scratch.Predict(seq));
+      EXPECT_EQ(cached.Encode(seq), scratch.Encode(seq));
+    }
+  });
   if (GetParam() != nn::Backbone::kTransformer) {
-    EXPECT_GT(stats.hits, 0);
-    EXPECT_GT(stats.tokens_reused, 0);
-    EXPECT_GT(stats.HitRate(), 0.0);
+    EXPECT_GT(delta.CounterValue("encode_cache.lookups"), 0);
+    EXPECT_GT(delta.CounterValue("encode_cache.hits"), 0);
+    EXPECT_GT(delta.CounterValue("encode_cache.tokens_reused"), 0);
   } else {
     // The transformer has no incremental form; its cache stays disabled.
-    EXPECT_EQ(stats.lookups, 0);
+    EXPECT_EQ(delta.CounterValue("encode_cache.lookups"), 0);
   }
-  EXPECT_EQ(scratch.prefix_cache_stats().hits, 0);
+  // A disabled cache records nothing, so the counts above are the cached
+  // model's alone.
+  const obs::MetricsSnapshot scratch_delta = MetricsDelta([&] {
+    for (const std::vector<int>& seq : sequences) scratch.Predict(seq);
+  });
+  EXPECT_EQ(scratch_delta.CounterValue("encode_cache.lookups"), 0);
 }
 
 // A weight update must drop cached states: post-training predictions match
@@ -112,16 +128,18 @@ TEST_P(BackboneModelTest, CacheInvalidatedByTraining) {
   std::vector<std::vector<int>> sequences = GrowingSequences(8, 64, 7);
   for (const std::vector<int>& seq : sequences) cached.Predict(seq);  // warm
 
-  for (const std::vector<int>& seq : sequences) {
-    EXPECT_EQ(cached.TrainStep(seq, 0.5), scratch.TrainStep(seq, 0.5));
-    cached.ApplyStep();
-    scratch.ApplyStep();
-  }
+  const obs::MetricsSnapshot delta = MetricsDelta([&] {
+    for (const std::vector<int>& seq : sequences) {
+      EXPECT_EQ(cached.TrainStep(seq, 0.5), scratch.TrainStep(seq, 0.5));
+      cached.ApplyStep();
+      scratch.ApplyStep();
+    }
+  });
   for (const std::vector<int>& seq : sequences) {
     EXPECT_EQ(cached.Predict(seq), scratch.Predict(seq));
   }
   if (GetParam() != nn::Backbone::kTransformer) {
-    EXPECT_GT(cached.prefix_cache_stats().invalidations, 0);
+    EXPECT_GT(delta.CounterValue("encode_cache.invalidations"), 0);
   }
 }
 
@@ -246,11 +264,11 @@ TEST(EngineEstimationTest, RunBitIdenticalWithAndWithoutPrefixCache) {
   ExpectRunsBitIdentical(cached, uncached);
 
   // The estimation loop queries the cache and reuses prefix work...
-  EXPECT_GT(cached.estimation_cache.lookups, 0);
-  EXPECT_GT(cached.estimation_cache.tokens_reused, 0);
+  EXPECT_GT(cached.metrics.CounterValue("encode_cache.lookups"), 0);
+  EXPECT_GT(cached.metrics.CounterValue("encode_cache.tokens_reused"), 0);
   // ...while training epochs invalidate it.
-  EXPECT_GT(cached.estimation_cache.invalidations, 0);
-  EXPECT_EQ(uncached.estimation_cache.lookups, 0);
+  EXPECT_GT(cached.metrics.CounterValue("encode_cache.invalidations"), 0);
+  EXPECT_EQ(uncached.metrics.CounterValue("encode_cache.lookups"), 0);
 }
 
 TEST(EngineEstimationTest, RejectsNegativePrefixCacheSize) {

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "core/engine.h"
+#include "core/run_report.h"
 #include "data/synthetic.h"
 #include "ml/evaluator.h"
 
@@ -110,9 +111,9 @@ TEST(ParallelDeterminismTest, EngineRunIsBitIdenticalAcrossThreadCounts) {
 
 TEST(ParallelDeterminismTest, ObservabilityNeverChangesEngineOutputs) {
   // The tracing/metrics layer only reads clocks and bumps counters, so a
-  // run with tracing + metrics on must be bit-identical to a run with both
-  // off — at any thread count. Wall-clock fields (times, span durations)
-  // are excluded by construction: the comparison covers scores and traces.
+  // run with tracing on must be bit-identical to a run with it off — at any
+  // thread count. The reports match too once the span totals (the only
+  // input of the wall-clock "times" block) are cleared.
   SyntheticSpec spec;
   spec.samples = 120;
   spec.features = 6;
@@ -126,16 +127,16 @@ TEST(ParallelDeterminismTest, ObservabilityNeverChangesEngineOutputs) {
   base_cfg.evaluator.folds = 2;
   base_cfg.evaluator.forest_trees = 6;
   base_cfg.seed = 99;
-  base_cfg.metrics = false;
   base_cfg.num_threads = 1;
   EngineResult plain = FastFtEngine(base_cfg).Run(ds).ValueOrDie();
+  plain.spans.clear();
+  const std::string plain_report = RunReportJson(ds, plain);
 
   const std::string trace_path =
       ::testing::TempDir() + "/fastft_determinism_trace.json";
   for (int threads : {1, 4}) {
     EngineConfig obs_cfg = base_cfg;
     obs_cfg.num_threads = threads;
-    obs_cfg.metrics = true;
     obs_cfg.trace_path = trace_path;
     EngineResult observed = FastFtEngine(obs_cfg).Run(ds).ValueOrDie();
 
@@ -157,6 +158,8 @@ TEST(ParallelDeterminismTest, ObservabilityNeverChangesEngineOutputs) {
     EXPECT_EQ(observed.metrics.CounterValue("engine.steps"),
               observed.total_steps)
         << threads;
+    observed.spans.clear();
+    EXPECT_EQ(RunReportJson(ds, observed), plain_report) << threads;
     std::remove(trace_path.c_str());
   }
 }

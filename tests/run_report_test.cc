@@ -6,7 +6,10 @@
 #include <cstdio>
 #include <limits>
 #include <fstream>
+#include <set>
+#include <sstream>
 #include <string>
+#include <vector>
 
 #include "core/run_report.h"
 #include "data/synthetic.h"
@@ -135,27 +138,49 @@ TEST(RunReportTest, ContainsMetricsSection) {
   EXPECT_NE(json.find("\"metrics\":"), std::string::npos);
   EXPECT_NE(json.find("\"counters\":"), std::string::npos);
   EXPECT_NE(json.find("\"histograms\":"), std::string::npos);
-  // Engine counters in the delta agree with the legacy result fields.
+  // Counters in the delta agree with the checkpointed run totals.
   EXPECT_EQ(r.metrics.CounterValue("engine.steps"), r.total_steps);
-  EXPECT_EQ(r.metrics.CounterValue("engine.downstream_evaluations"),
+  EXPECT_EQ(r.metrics.CounterValue("evaluator.evaluations"),
             r.downstream_evaluations);
   EXPECT_NE(json.find("\"engine.steps\": " + std::to_string(r.total_steps)),
             std::string::npos);
 }
 
-TEST(RunReportTest, MetricsOffKeepsLegacyShape) {
+TEST(RunReportTest, StatesEachCountOnce) {
   Dataset ds = SmallDataset();
-  EngineConfig cfg;
-  cfg.episodes = 3;
-  cfg.steps_per_episode = 3;
-  cfg.cold_start_episodes = 1;
-  cfg.evaluator.folds = 2;
-  cfg.seed = 77;
-  cfg.metrics = false;
-  EngineResult r = FastFtEngine(cfg).Run(ds).ValueOrDie();
-  EXPECT_TRUE(r.metrics.empty());
+  EngineResult r = QuickRun(ds);
   std::string json = RunReportJson(ds, r);
-  EXPECT_EQ(json.find("\"metrics\":"), std::string::npos);
+  // Top-level keys are the lines indented by exactly two spaces. Run totals
+  // are top-level fields, and there is no separate block of cache counts.
+  std::vector<std::string> keys;
+  std::istringstream lines(json);
+  for (std::string line; std::getline(lines, line);) {
+    if (line.rfind("  \"", 0) == 0) {
+      keys.push_back(line.substr(3, line.find('"', 3) - 3));
+    }
+  }
+  EXPECT_EQ(keys, (std::vector<std::string>{
+                      "dataset", "task", "rows", "original_features",
+                      "transformed_features", "base_score", "best_score",
+                      "downstream_evaluations", "predictor_estimations",
+                      "total_steps", "health", "metrics", "times",
+                      "generated_features", "episode_best", "trace"}));
+  EXPECT_NE(json.find("\"downstream_evaluations\": " +
+                      std::to_string(r.downstream_evaluations)),
+            std::string::npos);
+  EXPECT_NE(json.find("\"predictor_estimations\": " +
+                      std::to_string(r.predictor_estimations)),
+            std::string::npos);
+  // Prefix-cache activity is counted only in the registry...
+  EXPECT_NE(json.find("\"encode_cache.lookups\": "), std::string::npos);
+  // ...and the engine's own counters do not repeat those run totals.
+  const std::set<std::string> engine_counters = {
+      "engine.candidate_batches", "engine.episodes", "engine.steps"};
+  for (const obs::MetricValue& value : r.metrics.values) {
+    if (value.name.rfind("engine.", 0) == 0) {
+      EXPECT_EQ(engine_counters.count(value.name), 1u) << value.name;
+    }
+  }
 }
 
 // Minimal recursive-descent JSON validator: enough grammar to prove the

@@ -4,9 +4,9 @@
 # fastft_inspect, and validate the diagnostics JSON. Then verify the two
 # observability guarantees the recorder documents:
 #
-#   1. Recording never steers — the run report is identical (modulo
-#      wall-clock fields) with recording on or off, and the record stream
-#      is byte-identical at 1 and 4 worker threads.
+#   1. Recording never steers — the run report is identical (modulo the
+#      wall-clock "times" block) with recording and tracing on or off, and
+#      the record stream is byte-identical at 1 and 4 worker threads.
 #   2. Kill -> resume yields ONE coherent stream — a run killed mid-flight
 #      and resumed from its checkpoint produces a record stream
 #      byte-identical to an uninterrupted run's, every episode exactly once.
@@ -39,9 +39,9 @@ STEPS=4
 RUN_ARGS=(benchmark --dataset "${DATASET}" --episodes "${EPISODES}" \
           --steps "${STEPS}" --seed 11)
 
-# Strips the fields that legitimately vary across processes; same
-# normalization as check_crash.sh.
-normalize() { python3 tools/normalize_report.py "$1" "$2"; }
+# Strips the fields recording and tracing may change: only "times" (the
+# "recording" row of DESIGN.md §8).
+normalize() { python3 tools/normalize_report.py --across recording "$1" "$2"; }
 
 echo "=== check_record: recorded run at 4 threads (${FASTFT_BIN}) ==="
 "${FASTFT_BIN}" "${RUN_ARGS[@]}" --threads 4 \

@@ -81,8 +81,8 @@ with open(metrics_path) as f:
     metrics = json.load(f)
 counters = metrics.get("counters", {})
 assert counters.get("engine.steps", 0) > 0, "engine.steps counter missing"
-assert counters.get("engine.downstream_evaluations", 0) > 0, \
-    "engine.downstream_evaluations counter missing"
+assert counters.get("evaluator.evaluations", 0) > 0, \
+    "evaluator.evaluations counter missing"
 
 print(f"check_trace: OK — {len(spans)} spans across "
       f"{len({e['tid'] for e in spans})} thread(s), "
